@@ -14,7 +14,7 @@ from itertools import pairwise
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicGraph, EmptyChain, TopicNotInChain, UnknownArgument
-from .graph import QBAG, is_sub_qbag, reaches, validate_strength
+from .graph import QBAG, is_sub_qbag, validate_strength
 from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, evaluate
 
 
@@ -91,14 +91,19 @@ def is_normal_expansion_chain(c: Chain) -> bool:
 
 
 def is_weak_expansion_chain(c: Chain) -> bool:
-    """Expansion chain where no new argument reaches any old argument."""
+    """Expansion chain where no new argument reaches any old argument.
+
+    A path from a new argument to an old one crosses an edge from a new
+    argument to an old one where it first enters the old arguments, so
+    one pass over each step's edges decides reachability.
+    """
     if not is_expansion_chain(c):
         return False
-    for g, h in pairwise(c.steps):
-        for x in h.args - g.args:
-            if any(reaches(h, x, y) for y in g.args):
-                return False
-    return True
+    return not any(
+        s not in g.args and t in g.args
+        for g, h in pairwise(c.steps)
+        for s, t in h.att | h.supp
+    )
 
 
 def common_arguments(c: Chain) -> set[str]:

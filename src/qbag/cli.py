@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -53,22 +54,8 @@ def _fail(message: str) -> None:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
-
-
-def _parse(path: str, parser):
-    try:
-        return parser(_read_text(path))
-    except QbagError as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
-
-
-def _semantics(name: str):
-    try:
-        return semantics_by_name(name)
-    except QbagError as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
 
 
 def _split_topics(topics: str) -> list[str]:
@@ -78,11 +65,33 @@ def _split_topics(topics: str) -> list[str]:
     return ids
 
 
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """Evenly spaced values from start to stop, both ends exact.
+
+    Each point is computed in exact rationals from the float endpoints
+    and rounded once, so no point drifts by accumulated rounding.
+    """
+    if steps == 1:
+        return [start]
+    lo, hi = Fraction(start), Fraction(stop)
+    return [float(lo + i * (hi - lo) / (steps - 1)) for i in range(steps)]
+
+
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Main(click.Group):
+    """The one input-error boundary: every QbagError exits 2 on one line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except QbagError as exc:
+            _fail(f"{type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 def main() -> None:
     """Evaluate argumentation graphs and analyze dialogue chains."""
 
@@ -91,7 +100,7 @@ def main() -> None:
 @click.argument("chain_path")
 def validate(chain_path: str) -> None:
     """Check a chain document and classify the chain."""
-    chain = _parse(chain_path, parse_chain)
+    chain = parse_chain(_read_text(chain_path))
     cyclic_steps = []
     for i, g in enumerate(chain.steps, start=1):
         acyclic = is_acyclic(g)
@@ -110,12 +119,9 @@ def validate(chain_path: str) -> None:
 @click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
 def eval_cmd(qbag_path: str, semantics_name: str) -> None:
     """Print final strengths of a single graph."""
-    g = _parse(qbag_path, parse_qbag)
-    sem = _semantics(semantics_name)
-    try:
-        assignment = evaluate(g, sem)
-    except QbagError as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
+    g = parse_qbag(_read_text(qbag_path))
+    sem = semantics_by_name(semantics_name)
+    assignment = evaluate(g, sem)
     click.echo(
         " ".join(
             f"{x}={format(assignment[x], '.12g')}" for x in sorted(assignment.values)
@@ -150,31 +156,28 @@ def analyze(
     fmt: str,
 ) -> None:
     """Run safety, liveness, and fairness checks on a chain."""
-    chain = _parse(chain_path, parse_chain)
-    sem = _semantics(semantics_name)
-    try:
-        matrix = evaluate_chain(chain, sem)
-        query = SLFQuery(topics=frozenset(_split_topics(topics)), threshold=threshold)
-        entries: list[tuple[str, object]] = []
-        report = None
-        if checks in ("safety", "all"):
-            entries.append(("strongly_safe", is_strongly_safe(matrix, query)))
-            entries.append(("weakly_safe", is_weakly_safe(matrix, query)))
-        if checks in ("liveness", "all"):
-            for x in query.sorted_topics():
-                entries.append(
-                    (f"fluctuations[{x}]", fluctuation_count(matrix, x, threshold))
-                )
-            entries.append(("live", is_live(matrix, query)))
-        if checks in ("fairness", "all"):
-            entries.append(("ideally_fair", is_ideally_fair(matrix, query)))
-            entries.append(("lively_fair", is_lively_fair(matrix, query)))
-            entries.append(("cautiously_fair", is_cautiously_fair(matrix, query)))
-            report = fairness_report(matrix, query)
-            entries.append(("gini_score", report.gini_score))
-            entries.append(("shannon_score", report.shannon_score))
-    except QbagError as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
+    chain = parse_chain(_read_text(chain_path))
+    sem = semantics_by_name(semantics_name)
+    matrix = evaluate_chain(chain, sem)
+    query = SLFQuery(topics=frozenset(_split_topics(topics)), threshold=threshold)
+    entries: list[tuple[str, object]] = []
+    report = None
+    if checks in ("safety", "all"):
+        entries.append(("strongly_safe", is_strongly_safe(matrix, query)))
+        entries.append(("weakly_safe", is_weakly_safe(matrix, query)))
+    if checks in ("liveness", "all"):
+        for x in query.sorted_topics():
+            entries.append(
+                (f"fluctuations[{x}]", fluctuation_count(matrix, x, threshold))
+            )
+        entries.append(("live", is_live(matrix, query)))
+    if checks in ("fairness", "all"):
+        entries.append(("ideally_fair", is_ideally_fair(matrix, query)))
+        entries.append(("lively_fair", is_lively_fair(matrix, query)))
+        entries.append(("cautiously_fair", is_cautiously_fair(matrix, query)))
+        report = fairness_report(matrix, query)
+        entries.append(("gini_score", report.gini_score))
+        entries.append(("shannon_score", report.shannon_score))
 
     if fmt == "structured":
         payload: dict[str, object] = {}
@@ -218,25 +221,18 @@ def sweep(
     semantics_name: str,
 ) -> None:
     """Generate (and optionally evaluate) an initial-strength sweep chain."""
-    g = _parse(qbag_path, parse_qbag)
-    sem = _semantics(semantics_name)
+    g = parse_qbag(_read_text(qbag_path))
+    sem = semantics_by_name(semantics_name)
     if steps < 1:
         _fail(f"steps must be >= 1, got {steps}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         _fail(f"sweep range [{start}, {stop}] outside [0, 1]")
-    if steps == 1:
-        values = [start]
-    else:
-        values = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
-    try:
-        chain = sweep_chain(g, argument_id, values)
-        if as_csv:
-            matrix = evaluate_chain(chain, sem)
-            click.echo(export_strengths_csv(matrix), nl=False)
-            return
-        document = serialize_chain(chain)
-    except QbagError as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
+    chain = sweep_chain(g, argument_id, _grid(start, stop, steps))
+    if as_csv:
+        matrix = evaluate_chain(chain, sem)
+        click.echo(export_strengths_csv(matrix), nl=False)
+        return
+    document = serialize_chain(chain)
     if out_path is None:
         click.echo(document, nl=False)
     else:
@@ -254,14 +250,11 @@ def sweep(
 @click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
 def curve(chain_path: str, topics: str, threshold: float, semantics_name: str) -> None:
     """Print the safety-curve / fairness-line breakpoints as CSV."""
-    chain = _parse(chain_path, parse_chain)
-    sem = _semantics(semantics_name)
-    try:
-        matrix = evaluate_chain(chain, sem)
-        query = SLFQuery(topics=frozenset(_split_topics(topics)), threshold=threshold)
-        report = fairness_report(matrix, query)
-    except QbagError as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
+    chain = parse_chain(_read_text(chain_path))
+    sem = semantics_by_name(semantics_name)
+    matrix = evaluate_chain(chain, sem)
+    query = SLFQuery(topics=frozenset(_split_topics(topics)), threshold=threshold)
+    report = fairness_report(matrix, query)
     click.echo(export_curve_csv(report), nl=False)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     CyclicGraph,
@@ -118,20 +118,41 @@ def supporters(g: QBAG, x: str) -> set[str]:
     return {a for (a, b) in g.supp if b == x}
 
 
-def _successors(g: QBAG) -> dict[str, list[str]]:
-    adj: dict[str, set[str]] = {x: set() for x in g.args}
+class _Index(NamedTuple):
+    """Per-argument neighbour lists, each sorted by ascending id."""
+
+    successors: dict[str, list[str]]
+    attackers: dict[str, list[str]]
+    supporters: dict[str, list[str]]
+
+
+def _index(g: QBAG) -> _Index:
+    """One pass over both relations; O(V + E log E) in total.
+
+    Built per call and never stored on the graph: keeping it on every
+    step of a long chain would cost more memory than rebuilding it costs
+    time.
+    """
+    successors: dict[str, list[str]] = {x: [] for x in g.args}
+    attacker_lists: dict[str, list[str]] = {x: [] for x in g.args}
+    supporter_lists: dict[str, list[str]] = {x: [] for x in g.args}
     for s, t in g.att:
-        adj[s].add(t)
+        successors[s].append(t)
+        attacker_lists[t].append(s)
     for s, t in g.supp:
-        adj[s].add(t)
-    return {x: sorted(adj[x]) for x in adj}
+        successors[s].append(t)
+        supporter_lists[t].append(s)
+    for lists in (successors, attacker_lists, supporter_lists):
+        for neighbours in lists.values():
+            neighbours.sort()
+    return _Index(successors, attacker_lists, supporter_lists)
 
 
 def reaches(g: QBAG, x: str, y: str) -> bool:
     """True iff a directed path of length >= 1 leads from x to y."""
     _require_argument(g, x)
     _require_argument(g, y)
-    adj = _successors(g)
+    adj = _index(g).successors
     seen: set[str] = set()
     frontier = deque(adj[x])
     while frontier:
@@ -147,7 +168,11 @@ def reaches(g: QBAG, x: str, y: str) -> bool:
 
 def is_acyclic(g: QBAG) -> bool:
     """True iff no argument can reach itself."""
-    return all(not reaches(g, x, x) for x in g.args)
+    try:
+        topological_order(g)
+    except CyclicGraph:
+        return False
+    return True
 
 
 def restrict(g: QBAG, keep: Iterable[str]) -> QBAG:
@@ -181,11 +206,15 @@ def topological_order(g: QBAG) -> list[str]:
     target.  Raises CyclicGraph when the graph contains a cycle
     (including self-loops).
     """
-    adj = _successors(g)
+    return _ordered(g.args, _index(g).successors)
+
+
+def _ordered(args: frozenset[str], adj: dict[str, list[str]]) -> list[str]:
+    """The traversal behind :func:`topological_order`, over a prebuilt index."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    state = dict.fromkeys(g.args, WHITE)
+    state = dict.fromkeys(args, WHITE)
     finished: list[str] = []
-    for root in sorted(g.args):
+    for root in sorted(args):
         if state[root] != WHITE:
             continue
         stack: list[tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]

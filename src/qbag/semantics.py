@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import UnknownSemantics
-from .graph import QBAG, attackers, supporters, topological_order
+from .errors import StrengthOutOfRange, UnknownSemantics
+from .graph import QBAG, _index, _ordered
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,17 @@ def evaluate(g: QBAG, sem: SemanticsDescriptor = DFQUAD) -> StrengthAssignment:
     supporter strengths are final by the time they are aggregated.
     Neighbor strengths enter the aggregation in ascending id order, which
     pins down the floating-point result.  Raises CyclicGraph for cyclic
-    input.
+    input, and StrengthOutOfRange if the influence function leaves [0, 1].
     """
-    order = topological_order(g)
+    index = _index(g)
     sigma: dict[str, float] = {}
-    for x in order:
-        att_vals = [sigma[a] for a in sorted(attackers(g, x))]
-        supp_vals = [sigma[s] for s in sorted(supporters(g, x))]
+    for x in _ordered(g.args, index.successors):
+        att_vals = [sigma[a] for a in index.attackers[x]]
+        supp_vals = [sigma[s] for s in index.supporters[x]]
         value = sem.influence(g.tau[x], sem.aggregation(att_vals, supp_vals))
-        assert 0.0 <= value <= 1.0, f"influence left [0, 1]: {value!r} for {x!r}"
+        if not 0.0 <= value <= 1.0:
+            raise StrengthOutOfRange(
+                f"semantics {sem.name!r}: influence left [0, 1]: {value!r} for {x!r}"
+            )
         sigma[x] = value
     return StrengthAssignment(values=sigma)

@@ -28,6 +28,10 @@ from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
 from .graph import QBAG, build_qbag
 
 FORMAT_VERSION = "1"
+_TOP_LEVEL_KEYS = {
+    "qbag": {"format_version", "kind", "arguments", "attacks", "supports"},
+    "chain": {"format_version", "kind", "steps"},
+}
 
 
 # -- parsing ---------------------------------------------------------------
@@ -40,15 +44,27 @@ def _load_document(text: str, expected_kind: str) -> dict:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("document nested too deeply") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise DocumentError(f"unreadable value: {exc}") from None
     if not isinstance(data, dict):
         raise DocumentError("document root must be an object")
     if "format_version" not in data:
         raise DocumentError("missing format_version")
+    if data["format_version"] != FORMAT_VERSION:
+        raise DocumentError(
+            f"unsupported format_version {data['format_version']!r} "
+            f"(supported: {FORMAT_VERSION!r})"
+        )
     kind = data.get("kind")
     if kind not in ("qbag", "chain"):
         raise DocumentError(f"unknown kind {kind!r}")
     if kind != expected_kind:
         raise DocumentError(f"expected kind {expected_kind!r}, found {kind!r}")
+    unknown = sorted(set(data) - _TOP_LEVEL_KEYS[kind])
+    if unknown:
+        raise DocumentError(f"unknown top-level keys: {unknown}")
     return data
 
 
@@ -81,7 +97,7 @@ def _parse_qbag_payload(payload: dict, path: str = "") -> QBAG:
         initial = entry["initial"]
         if isinstance(initial, bool) or not isinstance(initial, (int, float)):
             raise DocumentError(f"{where}.initial: expected a number")
-        if not 0.0 <= float(initial) <= 1.0:
+        if not 0.0 <= initial <= 1.0:  # compared before float() can overflow
             raise StrengthOutOfRange(f"{where}.initial: {initial!r} outside [0, 1]")
         args.append((entry["id"], float(initial)))
     attacks = _parse_edges(payload, "attacks", path)

@@ -1,8 +1,18 @@
 """Independent brute-force oracles the fast paths are checked against."""
 
+from itertools import pairwise
+
 import numpy as np
 
-from qbag import DFQUAD, attackers, fairness_line, safety_curve, supporters
+from qbag import (
+    DFQUAD,
+    attackers,
+    fairness_line,
+    is_expansion_chain,
+    reaches,
+    safety_curve,
+    supporters,
+)
 
 
 def oracle_evaluate(g, sem=DFQUAD):
@@ -17,6 +27,16 @@ def oracle_evaluate(g, sem=DFQUAD):
         return memo[x]
 
     return {x: sigma(x) for x in sorted(g.args)}
+
+
+def weak_expansion_oracle(chain):
+    """The definition read literally: one reaches() per (new, old) pair."""
+    return is_expansion_chain(chain) and not any(
+        reaches(h, x, y)
+        for g, h in pairwise(chain.steps)
+        for x in h.args - g.args
+        for y in g.args
+    )
 
 
 def alternation_oracle(states):

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from qbag import (
     CyclicGraph,
@@ -19,6 +20,7 @@ from qbag import (
 )
 
 from .cases import dialogue, dialogue_step1, sweep_base, sweep_dialogue
+from .oracles import weak_expansion_oracle
 from .strategies import chains, weak_expansion_chains
 
 
@@ -71,6 +73,48 @@ class TestClassification:
     def test_generated_weak_chains_classify_as_weak(self, chain):
         assert is_weak_expansion_chain(chain)
         assert is_normal_expansion_chain(chain)
+
+    def test_newcomer_reaching_old_only_through_another_newcomer_is_not_weak(self):
+        g = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "b")])
+        h = build_qbag(
+            [("a", 0.5), ("b", 0.5), ("x", 0.5), ("y", 0.5)],
+            attacks=[("a", "b"), ("x", "y")],
+            supports=[("y", "b")],
+        )
+        chain = build_chain([g, h])
+        assert is_normal_expansion_chain(chain)
+        assert not is_weak_expansion_chain(chain)
+        assert not weak_expansion_oracle(chain)
+
+    @given(weak_expansion_chains(), st.data())
+    def test_weak_classification_matches_pairwise_reaches(self, chain, data):
+        # add edges out of each step's newcomers (to old or new arguments),
+        # kept in every later step, so the chain stays a normal expansion
+        # but may stop being weak
+        steps = list(chain.steps)
+        for i in range(1, len(steps)):
+            new = sorted(steps[i].args - steps[i - 1].args)
+            extra = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(new),
+                        st.sampled_from(sorted(steps[i].args)),
+                        st.booleans(),
+                    ),
+                    max_size=2,
+                )
+            )
+            for s, t, is_attack in extra:
+                for j in range(i, len(steps)):
+                    g = steps[j]
+                    if (s, t) in g.att | g.supp:
+                        continue
+                    att, supp = set(g.att), set(g.supp)
+                    (att if is_attack else supp).add((s, t))
+                    steps[j] = build_qbag(g.tau.items(), att, supp)
+        chain = build_chain(steps)
+        assert is_expansion_chain(chain)
+        assert is_weak_expansion_chain(chain) == weak_expansion_oracle(chain)
 
     @given(chains())
     def test_refinements_imply_expansion(self, chain):
@@ -154,7 +198,7 @@ class TestEvaluateChain:
             [("a", 0.5), ("b", 0.5)], attacks=[("a", "b")], supports=[("b", "a")]
         )
         chain = build_chain([dialogue_step1(), cyclic])
-        with pytest.raises(CyclicGraph, match="step 2"):
+        with pytest.raises(CyclicGraph, match=r"^step 2: cycle through argument 'a'$"):
             evaluate_chain(chain)
 
     def test_trajectory_requires_presence_everywhere(self):

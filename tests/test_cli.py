@@ -73,6 +73,28 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (b'{"format_version": "1", "kind": "chain", "note": "\xe9"}', "codec can't decode"),
+            (b"[" * 100_000, "DocumentError: document nested too deeply"),
+            (b'{"format_version": "1", "kind": "chain", "n": 1' + b"0" * 5000 + b"}", "DocumentError"),
+            (
+                b'{"format_version": "1", "kind": "chain", "steps": [{"arguments": '
+                b'[{"id": "a", "initial": 1' + b"0" * 400 + b'}], "attacks": [], "supports": []}]}',
+                "StrengthOutOfRange",
+            ),
+        ],
+        ids=["non-utf8", "deep-nesting", "long-integer", "huge-integer"],
+    )
+    def test_hostile_input_exits_2_on_one_line(self, runner, tmp_path, content, message):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
 
 class TestEval:
     def test_final_graph_strengths(self, runner, qbag_path):
@@ -259,6 +281,21 @@ class TestSweep:
         minimum_step = min(a_by_step, key=a_by_step.get)
         assert a_by_step[minimum_step] == pytest.approx(0.15, abs=1e-9)
         assert f_by_step[minimum_step] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        ("start", "stop", "steps", "expected"),
+        [
+            ("0.3", "1.0", "4", [0.3, 0.5333333333333333, 0.7666666666666666, 1.0]),
+            ("0", "1", "200", [i / 199 for i in range(200)]),
+        ],
+    )
+    def test_grid_ends_exactly_on_endpoints(self, runner, sweep_path, start, stop, steps, expected):
+        result = runner.invoke(
+            main,
+            ["sweep", sweep_path, "--argument", "f", "--from", start, "--to", stop, "--steps", steps],
+        )
+        assert result.exit_code == 0
+        assert [g.tau["f"] for g in parse_chain(result.output)] == expected
 
     def test_bad_range_fails(self, runner, sweep_path):
         result = runner.invoke(

@@ -133,6 +133,10 @@ class TestAcyclicity:
     def test_empty(self):
         assert is_acyclic(build_qbag([]))
 
+    @given(arbitrary_qbags())
+    def test_matches_self_reachability(self, g):
+        assert is_acyclic(g) == all(not reaches(g, x, x) for x in g.args)
+
 
 class TestRestrict:
     def test_dropping_the_last_arrival_recovers_previous_step(self):
@@ -207,7 +211,7 @@ class TestTopologicalOrder:
         g = build_qbag(
             [("a", 0.5), ("b", 0.5)], attacks=[("a", "b")], supports=[("b", "a")]
         )
-        with pytest.raises(CyclicGraph):
+        with pytest.raises(CyclicGraph, match=r"^cycle through argument 'a'$"):
             topological_order(g)
 
     @given(arbitrary_qbags())

@@ -69,6 +69,22 @@ class TestParseQbag:
         with pytest.raises(DocumentError, match="format_version"):
             parse_qbag(doc)
 
+    def test_unsupported_format_version(self):
+        data = json.loads(SEED_DOCUMENT)
+        data["format_version"] = "99"
+        with pytest.raises(DocumentError, match="format_version '99'"):
+            parse_qbag(json.dumps(data))
+
+    def test_unknown_top_level_key(self):
+        data = json.loads(SEED_DOCUMENT)
+        data["comment"] = "ignored until now"
+        with pytest.raises(DocumentError, match="unknown top-level keys: \\['comment'\\]"):
+            parse_qbag(json.dumps(data))
+
+    def test_deep_nesting(self):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse_qbag("[" * 100_000)
+
     def test_duplicate_argument_keeps_specific_type(self):
         data = json.loads(SEED_DOCUMENT)
         data["arguments"].append({"id": "a", "initial": 0.5})
