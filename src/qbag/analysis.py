@@ -157,10 +157,22 @@ def exceed_count(m: StrengthMatrix, x: str, t: float) -> int:
     return sum(1 for v in m.trajectory(x) if v >= t)
 
 
-def _sorted_counts(m: StrengthMatrix, q: SLFQuery) -> list[tuple[str, int]]:
+def _exceed_counts(m: StrengthMatrix, q: SLFQuery) -> dict[str, int]:
+    return {x: exceed_count(m, x, q.threshold) for x in q.sorted_topics()}
+
+
+def _ascending(counts: dict[str, int]) -> list[tuple[str, int]]:
     # ascending by count, ties broken by id for reproducible reports
-    counts = {x: exceed_count(m, x, q.threshold) for x in q.sorted_topics()}
     return sorted(counts.items(), key=lambda item: (item[1], item[0]))
+
+
+def _curve(ascending: list[tuple[str, int]]) -> list[tuple[int, int]]:
+    points = [(0, 0)]
+    total = 0
+    for k, (_, count) in enumerate(ascending, start=1):
+        total += count
+        points.append((k, total))
+    return points
 
 
 def safety_curve(m: StrengthMatrix, q: SLFQuery) -> list[tuple[int, int]]:
@@ -169,20 +181,18 @@ def safety_curve(m: StrengthMatrix, q: SLFQuery) -> list[tuple[int, int]]:
     Starts at (0, 0) and ends at (|T|, sum of counts); the curve itself
     is the piecewise-linear interpolation of these points.
     """
-    points = [(0, 0)]
-    total = 0
-    for k, (_, count) in enumerate(_sorted_counts(m, q), start=1):
-        total += count
-        points.append((k, total))
-    return points
+    return _curve(_ascending(_exceed_counts(m, q)))
+
+
+def _line(counts: dict[str, int]) -> FairnessLine:
+    total = sum(counts.values())
+    n = len(counts)
+    return FairnessLine(slope=Fraction(total, n), endpoints=((0, 0), (n, total)))
 
 
 def fairness_line(m: StrengthMatrix, q: SLFQuery) -> FairnessLine:
     """The perfect-equality line joining (0, 0) and (|T|, sum of counts)."""
-    counts = _sorted_counts(m, q)
-    total = sum(count for _, count in counts)
-    n = len(counts)
-    return FairnessLine(slope=Fraction(total, n), endpoints=((0, 0), (n, total)))
+    return _line(_exceed_counts(m, q))
 
 
 def area_between_piecewise(
@@ -206,19 +216,32 @@ def area_between_piecewise(
     return total
 
 
-def gini_unnormalized(m: StrengthMatrix, q: SLFQuery) -> Fraction:
-    """Exact area between the fairness line and the safety curve."""
-    curve = safety_curve(m, q)
-    slope = fairness_line(m, q).slope
+def _area(curve: list[tuple[int, int]], slope: Fraction) -> Fraction:
     curve_ys = [Fraction(y) for _, y in curve]
     line_ys = [slope * x for x, _ in curve]
     return area_between_piecewise(line_ys, curve_ys)
 
 
+def gini_unnormalized(m: StrengthMatrix, q: SLFQuery) -> Fraction:
+    """Exact area between the fairness line and the safety curve."""
+    counts = _exceed_counts(m, q)
+    return _area(_curve(_ascending(counts)), _line(counts).slope)
+
+
+def _sigmoid(area: Fraction) -> float:
+    return 2.0 / (1.0 + math.exp(-float(area))) - 1.0
+
+
 def gini_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
     """Sigmoid-normalized area; 0 means perfect equality, values stay < 1."""
-    area = gini_unnormalized(m, q)
-    return 2.0 / (1.0 + math.exp(-float(area))) - 1.0
+    return _sigmoid(gini_unnormalized(m, q))
+
+
+def _distribution(counts: dict[str, int]) -> dict[str, Fraction] | None:
+    total = sum(counts.values())
+    if total == 0:
+        return None
+    return {x: Fraction(count, total) for x, count in sorted(counts.items())}
 
 
 def exceed_distribution(
@@ -229,11 +252,7 @@ def exceed_distribution(
     Undefined (None) when no topic ever reaches the threshold.  When
     defined the values sum to exactly 1.
     """
-    counts = {x: exceed_count(m, x, q.threshold) for x in q.sorted_topics()}
-    total = sum(counts.values())
-    if total == 0:
-        return None
-    return {x: Fraction(count, total) for x, count in sorted(counts.items())}
+    return _distribution(_exceed_counts(m, q))
 
 
 def shannon_base(dist: dict[str, Fraction]) -> int:
@@ -241,15 +260,7 @@ def shannon_base(dist: dict[str, Fraction]) -> int:
     return math.lcm(*(p.denominator for p in dist.values()))
 
 
-def shannon_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
-    """Entropy of the exceedance distribution in base lcm-of-denominators.
-
-    1 when the distribution is undefined (no exceedances at all) and when
-    the base degenerates to 1 (a single topic holds every exceedance,
-    i.e. the uniform distribution over one carrier).  Terms with p = 0
-    contribute nothing (0 * log 0 = 0).
-    """
-    dist = exceed_distribution(m, q)
+def _entropy(dist: dict[str, Fraction] | None) -> float:
     if dist is None:
         return 1.0
     base = shannon_base(dist)
@@ -264,18 +275,33 @@ def shannon_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
     return entropy
 
 
+def shannon_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
+    """Entropy of the exceedance distribution in base lcm-of-denominators.
+
+    1 when the distribution is undefined (no exceedances at all) and when
+    the base degenerates to 1 (a single topic holds every exceedance,
+    i.e. the uniform distribution over one carrier).  Terms with p = 0
+    contribute nothing (0 * log 0 = 0).
+    """
+    return _entropy(exceed_distribution(m, q))
+
+
 def fairness_report(m: StrengthMatrix, q: SLFQuery) -> FairnessReport:
-    """Bundle counts, curve, line, and both gradual scores in one pass."""
-    sorted_counts = _sorted_counts(m, q)
-    dist = exceed_distribution(m, q)
+    """Counts, curve, line, and both gradual scores from one count pass."""
+    counts = _exceed_counts(m, q)
+    ascending = _ascending(counts)
+    curve = _curve(ascending)
+    slope = _line(counts).slope
+    area = _area(curve, slope)
+    dist = _distribution(counts)
     return FairnessReport(
-        exceed_counts={x: count for x, count in sorted(sorted_counts)},
-        ordering=tuple(x for x, _ in sorted_counts),
-        curve_points=tuple(safety_curve(m, q)),
-        line_slope=fairness_line(m, q).slope,
-        gini_area=gini_unnormalized(m, q),
-        gini_score=gini_fairness(m, q),
+        exceed_counts=counts,
+        ordering=tuple(x for x, _ in ascending),
+        curve_points=tuple(curve),
+        line_slope=slope,
+        gini_area=area,
+        gini_score=_sigmoid(area),
         p=dist,
         base_b=None if dist is None else shannon_base(dist),
-        shannon_score=shannon_fairness(m, q),
+        shannon_score=_entropy(dist),
     )

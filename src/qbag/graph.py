@@ -2,14 +2,19 @@
 
 A QBAG is a set of arguments, an initial strength for each argument in
 [0, 1], and two disjoint binary relations over the arguments: attacks and
-supports.  Everything in this module is a pure function over immutable
-values; graphs can be shared freely between threads.
+supports.  Everything in this module is a pure function of its inputs.
+A graph's argument set and relations are frozensets and may be shared,
+as the steps of a sweep chain share them; ``tau`` is a plain dict that
+callers must not mutate once the graph is built (making it read-only is
+ROADMAP item 2).
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -29,9 +34,10 @@ Edge = tuple[str, str]
 class QBAG:
     """Arguments with initial strengths plus attack and support relations.
 
-    Instances are immutable; use :func:`build_qbag` rather than the raw
-    constructor so the invariants (disjoint relations, declared endpoints,
-    strengths in range) are enforced.
+    The fields are not reassignable, but ``tau`` is a dict that must not
+    be mutated.  Use :func:`build_qbag` rather than the raw constructor so
+    the invariants (valid unique ids, disjoint relations, declared
+    endpoints, strengths in range) are enforced.
     """
 
     args: frozenset[str]
@@ -57,10 +63,14 @@ def validate_strength(value: float, owner: str = "strength") -> float:
     return value
 
 
+# \s in a str pattern matches exactly the characters str.isspace() accepts
+_FORBIDDEN_IN_ID = re.compile(r"[\s,]")
+
+
 def validate_argument_id(arg: object) -> str:
     if not isinstance(arg, str) or not arg:
         raise InvalidArgumentId(f"argument id must be a non-empty string, got {arg!r}")
-    if any(ch.isspace() for ch in arg) or "," in arg:
+    if _FORBIDDEN_IN_ID.search(arg):
         raise InvalidArgumentId(f"argument id {arg!r} contains whitespace or a comma")
     return arg
 
@@ -73,9 +83,13 @@ def build_qbag(
     """Validate and build a QBAG.
 
     Raises DuplicateArgument, DanglingEndpoint, RelationOverlap,
-    StrengthOutOfRange, or InvalidArgumentId on bad input.  Self-loops are
-    structurally allowed here; they are cycles and get rejected at
-    evaluation time.
+    StrengthOutOfRange, or InvalidArgumentId on bad input.  Arguments are
+    checked in declaration order (id, then uniqueness, then strength);
+    then endpoints, attacks before supports, reporting the least
+    offending pair; then overlap.  Self-loops are structurally allowed
+    here; they are cycles and get rejected at evaluation time.  These
+    rules live only here: document parsing validates every distinct step
+    structure through this function.
     """
     tau: dict[str, float] = {}
     for arg, strength in args:
@@ -88,12 +102,13 @@ def build_qbag(
     att = frozenset((str(s), str(t)) for s, t in attacks)
     supp = frozenset((str(s), str(t)) for s, t in supports)
     for name, relation in (("attacks", att), ("supports", supp)):
-        for pair in relation:
-            for endpoint in pair:
-                if endpoint not in declared:
-                    raise DanglingEndpoint(
-                        f"{name} pair {pair!r} references undeclared argument {endpoint!r}"
-                    )
+        if not declared.issuperset(chain.from_iterable(relation)):
+            for pair in sorted(relation):
+                for endpoint in pair:
+                    if endpoint not in declared:
+                        raise DanglingEndpoint(
+                            f"{name} pair {pair!r} references undeclared argument {endpoint!r}"
+                        )
     overlap = att & supp
     if overlap:
         raise RelationOverlap(f"pairs in both attacks and supports: {sorted(overlap)}")

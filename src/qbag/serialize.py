@@ -11,30 +11,41 @@ Graphs and chains travel as JSON envelopes::
      "steps": [<qbag payload>, ...]}
 
 where a step payload repeats the arguments/attacks/supports keys without
-its own envelope.  Edge pairs are [source, target].  Serialization is
-canonical: keys in a fixed order, arguments and edges sorted, numbers in
-their shortest exact decimal form, so equal values always serialize to
-identical bytes.  parse(serialize(v)) returns a structurally equal value.
+its own envelope.  Edge pairs are [source, target].  Unknown keys are
+rejected at every level.  Serialization is canonical: the bytes are those
+of json.dumps(doc, indent=2) plus a newline, with keys in a fixed order,
+arguments and edges sorted, strings ASCII-escaped and numbers in their
+shortest round-trip form, so equal values always serialize to identical
+bytes.  parse(serialize(v)) returns a structurally equal value.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
 from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
-from .graph import QBAG, build_qbag
+from .graph import QBAG, Edge, build_qbag
 
 FORMAT_VERSION = "1"
 _TOP_LEVEL_KEYS = {
     "qbag": {"format_version", "kind", "arguments", "attacks", "supports"},
     "chain": {"format_version", "kind", "steps"},
 }
+_STEP_KEYS = {"arguments", "attacks", "supports"}
+_ARGUMENT_KEYS = {"id", "initial"}
 
 
 # -- parsing ---------------------------------------------------------------
+
+
+def _reject_unknown_keys(obj: dict, allowed: set[str], label: str) -> None:
+    unknown = sorted(obj.keys() - allowed)
+    if unknown:
+        raise DocumentError(f"{label}: {unknown}")
 
 
 def _load_document(text: str, expected_kind: str) -> dict:
@@ -48,7 +59,7 @@ def _load_document(text: str, expected_kind: str) -> dict:
         raise DocumentError("document nested too deeply") from None
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise DocumentError(f"unreadable value: {exc}") from None
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise DocumentError("document root must be an object")
     if "format_version" not in data:
         raise DocumentError("missing format_version")
@@ -62,100 +73,183 @@ def _load_document(text: str, expected_kind: str) -> dict:
         raise DocumentError(f"unknown kind {kind!r}")
     if kind != expected_kind:
         raise DocumentError(f"expected kind {expected_kind!r}, found {kind!r}")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS[kind])
-    if unknown:
-        raise DocumentError(f"unknown top-level keys: {unknown}")
+    _reject_unknown_keys(data, _TOP_LEVEL_KEYS[kind], "unknown top-level keys")
     return data
 
 
-def _parse_edges(payload: dict, key: str, path: str) -> list[tuple[str, str]]:
-    raw = payload.get(key)
-    if not isinstance(raw, list):
-        raise DocumentError(f"{path}{key}: expected a list")
-    edges = []
+def _parse_edges(raw: object, where: str) -> list[tuple[str, str]]:
+    if type(raw) is not list:
+        raise DocumentError(f"{where}: expected a list")
     for i, pair in enumerate(raw):
-        where = f"{path}{key}[{i}]"
         if (
-            not isinstance(pair, list)
+            type(pair) is not list
             or len(pair) != 2
-            or not all(isinstance(e, str) for e in pair)
+            or type(pair[0]) is not str
+            or type(pair[1]) is not str
         ):
-            raise DocumentError(f"{where}: expected a [source, target] pair of ids")
-        edges.append((pair[0], pair[1]))
-    return edges
+            raise DocumentError(f"{where}[{i}]: expected a [source, target] pair of ids")
+    return list(map(tuple, raw))
 
 
-def _parse_qbag_payload(payload: dict, path: str = "") -> QBAG:
+class _Step(NamedTuple):
+    """A parsed step plus the raw structure it was validated from."""
+
+    ids: list
+    attacks: object
+    supports: object
+    graph: QBAG
+
+
+def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _Step:
+    """Check one graph payload; build_qbag holds the id and relation rules.
+
+    A step whose ids and raw edge lists are == to the previous step's
+    passes those rules exactly when the previous step did, so it reuses
+    the previous step's validated frozensets and only reads its own
+    initial strengths.
+    """
     raw_args = payload.get("arguments")
-    if not isinstance(raw_args, list):
+    if type(raw_args) is not list:
         raise DocumentError(f"{path}arguments: expected a list")
-    args = []
+    ids = []
+    values = []
     for i, entry in enumerate(raw_args):
-        where = f"{path}arguments[{i}]"
-        if not isinstance(entry, dict) or "id" not in entry or "initial" not in entry:
-            raise DocumentError(f"{where}: expected an object with id and initial")
+        if type(entry) is not dict or "id" not in entry or "initial" not in entry:
+            raise DocumentError(
+                f"{path}arguments[{i}]: expected an object with id and initial"
+            )
+        if len(entry) != 2:
+            _reject_unknown_keys(entry, _ARGUMENT_KEYS, f"{path}arguments[{i}]: unknown keys")
         initial = entry["initial"]
-        if isinstance(initial, bool) or not isinstance(initial, (int, float)):
-            raise DocumentError(f"{where}.initial: expected a number")
+        if type(initial) is not float and type(initial) is not int:
+            raise DocumentError(f"{path}arguments[{i}].initial: expected a number")
         if not 0.0 <= initial <= 1.0:  # compared before float() can overflow
-            raise StrengthOutOfRange(f"{where}.initial: {initial!r} outside [0, 1]")
-        args.append((entry["id"], float(initial)))
-    attacks = _parse_edges(payload, "attacks", path)
-    supports = _parse_edges(payload, "supports", path)
+            raise StrengthOutOfRange(
+                f"{path}arguments[{i}].initial: {initial!r} outside [0, 1]"
+            )
+        ids.append(entry["id"])
+        values.append(initial)
+    raw_att = payload.get("attacks")
+    raw_supp = payload.get("supports")
+    if (
+        previous is not None
+        and ids == previous.ids
+        and raw_att == previous.attacks
+        and raw_supp == previous.supports
+    ):
+        g = previous.graph
+        tau = dict(zip(ids, map(float, values)))
+        return _Step(ids, raw_att, raw_supp, QBAG(g.args, tau, g.att, g.supp))
+    attacks = _parse_edges(raw_att, f"{path}attacks")
+    supports = _parse_edges(raw_supp, f"{path}supports")
     try:
-        return build_qbag(args, attacks=attacks, supports=supports)
+        g = build_qbag(zip(ids, values), attacks=attacks, supports=supports)
     except QbagError as exc:
         # duplicate ids, dangling endpoints, relation overlap: keep the
         # specific error type, prefix the document location
         where = path.rstrip(".") or "document"
         raise type(exc)(f"{where}: {exc}") from None
+    return _Step(ids, raw_att, raw_supp, g)
 
 
 def parse_qbag(text: str) -> QBAG:
     """Parse and validate a qbag document."""
     data = _load_document(text, "qbag")
-    return _parse_qbag_payload(data)
+    return _parse_payload(data, "").graph
 
 
 def parse_chain(text: str) -> Chain:
-    """Parse and validate a chain document."""
+    """Parse and validate a chain document.
+
+    Consecutive steps with the same arguments and relations share one
+    set of frozensets, as the steps of :func:`sweep_chain` do.
+    """
     data = _load_document(text, "chain")
     steps = data.get("steps")
-    if not isinstance(steps, list):
+    if type(steps) is not list:
         raise DocumentError("steps: expected a list")
     if not steps:
         raise EmptyChain("chain document has zero steps")
     qbags = []
+    step = None
     for i, payload in enumerate(steps):
-        if not isinstance(payload, dict):
+        if type(payload) is not dict:
             raise DocumentError(f"steps[{i}]: expected an object")
-        qbags.append(_parse_qbag_payload(payload, path=f"steps[{i}]."))
+        _reject_unknown_keys(payload, _STEP_KEYS, f"steps[{i}]: unknown keys")
+        step = _parse_payload(payload, f"steps[{i}].", step)
+        qbags.append(step.graph)
     return build_chain(qbags)
 
 
 # -- serialization ---------------------------------------------------------
+#
+# The canonical layout is what json.dumps(doc, indent=2) produces, written
+# directly: CPython's indenting encoder is pure Python and slow.
+
+_string = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
 
 
-def _qbag_payload(g: QBAG) -> dict:
-    return {
-        "arguments": [{"id": x, "initial": g.tau[x]} for x in sorted(g.args)],
-        "attacks": [list(p) for p in sorted(g.att)],
-        "supports": [list(p) for p in sorted(g.supp)],
-    }
+def _number(value: object) -> str:
+    """A number exactly as json.dumps renders it."""
+    if type(value) is float and -_INFINITY < value < _INFINITY:
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _block(items: list[str], pad: str) -> str:
+    """A JSON list of pre-rendered items under a key indented by pad."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def _relation(relation: frozenset[Edge], pad: str, rendered: dict) -> str:
+    text = rendered.get(relation)
+    if text is None:
+        head = f"{pad}  [\n{pad}    "
+        middle = f",\n{pad}    "
+        tail = f"\n{pad}  ]"
+        text = _block(
+            [head + _string(s) + middle + _string(t) + tail for s, t in sorted(relation)],
+            pad,
+        )
+        rendered[relation] = text
+    return text
+
+
+def _payload(g: QBAG, pad: str, rendered: dict) -> str:
+    """The arguments/attacks/supports keys of one graph, indented by pad.
+
+    ``rendered`` maps each relation already written in this call to its
+    text, so the steps of a sweep render their shared edges once.
+    """
+    head = f'{pad}  {{\n{pad}    "id": '
+    middle = f',\n{pad}    "initial": '
+    tail = f"\n{pad}  }}"
+    tau = g.tau
+    arguments = _block(
+        [head + _string(x) + middle + _number(tau[x]) + tail for x in sorted(g.args)], pad
+    )
+    return (
+        f'{pad}"arguments": {arguments},\n'
+        f'{pad}"attacks": {_relation(g.att, pad, rendered)},\n'
+        f'{pad}"supports": {_relation(g.supp, pad, rendered)}'
+    )
+
+
+def _envelope(kind: str) -> str:
+    return f'{{\n  "format_version": {_string(FORMAT_VERSION)},\n  "kind": {_string(kind)},\n'
 
 
 def serialize_qbag(g: QBAG) -> str:
-    doc = {"format_version": FORMAT_VERSION, "kind": "qbag", **_qbag_payload(g)}
-    return json.dumps(doc, indent=2) + "\n"
+    return _envelope("qbag") + _payload(g, "  ", {}) + "\n}\n"
 
 
 def serialize_chain(c: Chain) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "chain",
-        "steps": [_qbag_payload(g) for g in c.steps],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    rendered: dict[frozenset[Edge], str] = {}
+    steps = [f"    {{\n{_payload(g, '      ', rendered)}\n    }}" for g in c.steps]
+    return _envelope("chain") + f'  "steps": {_block(steps, "  ")}\n}}\n'
 
 
 # -- CSV export ------------------------------------------------------------

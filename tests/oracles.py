@@ -1,5 +1,6 @@
 """Independent brute-force oracles the fast paths are checked against."""
 
+import json
 from itertools import pairwise
 
 import numpy as np
@@ -62,3 +63,25 @@ def trapezoid_area_oracle(m, q, points=10_000):
     grid = np.linspace(0.0, xs[-1], points)
     diff = np.abs(slope * grid - np.interp(grid, xs, ys))
     return float(np.sum((diff[:-1] + diff[1:]) * np.diff(grid)) / 2.0)
+
+
+def qbag_document(g):
+    """The document mapping of one graph, in canonical key and item order."""
+    return {"format_version": "1", "kind": "qbag", **_payload(g)}
+
+
+def chain_document(c):
+    return {"format_version": "1", "kind": "chain", "steps": [_payload(g) for g in c]}
+
+
+def _payload(g):
+    return {
+        "arguments": [{"id": x, "initial": g.tau[x]} for x in sorted(g.args)],
+        "attacks": [list(p) for p in sorted(g.att)],
+        "supports": [list(p) for p in sorted(g.supp)],
+    }
+
+
+def canonical_json(doc):
+    """The canonical layout by definition: the standard library's indenting encoder."""
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,8 +1,10 @@
 """Hypothesis strategies for random graphs, chains, and analysis queries."""
 
+import json
+
 from hypothesis import strategies as st
 
-from qbag import Chain, QBAG, build_chain, build_qbag, common_arguments
+from qbag import Chain, QBAG, build_chain, build_qbag, common_arguments, sweep_chain
 
 CORE_NAMES = "abcd"
 EXTRA_NAMES = "efgh"
@@ -123,3 +125,76 @@ def weak_expansion_chains(draw, max_expansions: int = 3) -> Chain:
             build_qbag([(x, taus[x]) for x in order], attacks=att, supports=supp)
         )
     return build_chain(steps)
+
+
+# any character an id may hold: everything but whitespace and the comma,
+# so quotes, backslashes, control characters and non-ASCII text included
+id_texts = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs", "Zs", "Zl", "Zp"), blacklist_characters=","
+    ).filter(lambda ch: not ch.isspace()),
+    min_size=1,
+    max_size=6,
+)
+exotic_ids = st.one_of(id_texts, st.sampled_from(['"', "\\", '\\"', "é", "日本", "\x7f", "\U0001f600"]))
+
+
+@st.composite
+def exotic_qbags(draw, max_args: int = 6) -> QBAG:
+    """Acyclic graphs over ids that exercise string escaping."""
+    args = draw(st.lists(exotic_ids, unique=True, max_size=max_args))
+    att, supp = _forward_edges(draw, args)
+    return build_qbag([(x, draw(strengths)) for x in args], attacks=att, supports=supp)
+
+
+@st.composite
+def shared_chains(draw) -> Chain:
+    """Sweep chains: every step shares one argument set and both relations."""
+    g = draw(st.one_of(acyclic_qbags(min_args=1), exotic_qbags().filter(lambda g: g.args)))
+    x = draw(st.sampled_from(sorted(g.args)))
+    return sweep_chain(g, x, draw(st.lists(strengths, min_size=1, max_size=5)))
+
+
+# arbitrary JSON trees, keys biased towards the document schema's
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["id", "initial", "arguments", "attacks", "supports", "x"])
+        | st.text(max_size=3),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+_ARGUMENTS = st.lists(
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(["a", "b", "a b", ""]) | json_values,
+         "initial": strengths | json_values},
+        optional={"x": json_values},
+    )
+    | json_values,
+    max_size=4,
+)
+_EDGES = st.lists(
+    st.lists(st.sampled_from(["a", "b", "z"]), min_size=2, max_size=2) | json_values,
+    max_size=4,
+)
+_PAYLOADS = st.fixed_dictionaries(
+    {"arguments": _ARGUMENTS, "attacks": _EDGES, "supports": _EDGES},
+    optional={"x": json_values},
+) | json_values
+
+
+@st.composite
+def near_documents(draw):
+    """Envelopes that pass the top-level checks, holding random payloads."""
+    if draw(st.booleans()):
+        payload = draw(_PAYLOADS.filter(lambda p: isinstance(p, dict)))
+        doc = {"format_version": "1", "kind": "qbag", **payload}
+    else:
+        steps = draw(st.lists(_PAYLOADS, max_size=3))
+        if steps and draw(st.booleans()):
+            steps.append(steps[-1])  # a repeated step takes the shared-structure path
+        doc = {"format_version": "1", "kind": "chain", "steps": steps}
+    return json.dumps(doc)

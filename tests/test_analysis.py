@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from qbag import (
     EmptyTopicSet,
+    FairnessReport,
     SLFQuery,
     StrengthAssignment,
     StrengthMatrix,
@@ -385,3 +386,24 @@ class TestTieBreakIndependence:
         assert report.base_b == 7
         assert report.gini_score == gini_fairness(dialogue_matrix, q)
         assert report.shannon_score == shannon_fairness(dialogue_matrix, q)
+
+    @given(chain_queries())
+    @settings(max_examples=60)
+    def test_report_equals_public_functions(self, case):
+        chain, topics, threshold = case
+        m = evaluate_chain(chain)
+        q = query(topics, threshold)
+        counts = {x: exceed_count(m, x, threshold) for x in sorted(topics)}
+        dist = exceed_distribution(m, q)
+        assembled = FairnessReport(
+            exceed_counts=counts,
+            ordering=tuple(sorted(counts, key=lambda x: (counts[x], x))),
+            curve_points=tuple(safety_curve(m, q)),
+            line_slope=fairness_line(m, q).slope,
+            gini_area=gini_unnormalized(m, q),
+            gini_score=gini_fairness(m, q),
+            p=dist,
+            base_b=None if dist is None else shannon_base(dist),
+            shannon_score=shannon_fairness(m, q),
+        )
+        assert fairness_report(m, q) == assembled

@@ -1,14 +1,21 @@
 """End-to-end coverage of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qbag import parse_chain, serialize_chain, serialize_qbag
 from qbag.cli import main
 
 from .cases import dialogue, dialogue_step3, sweep_base
+from .strategies import near_documents
 
 
 @pytest.fixture()
@@ -372,3 +379,39 @@ class TestDeterminism:
         assert good.exit_code == 0
         assert bad.exit_code == 2
         assert usage.exit_code == 2
+
+    def test_dangling_message_does_not_follow_hash_seed(self, tmp_path):
+        # several undeclared endpoints: the report used to pick one in
+        # frozenset order, which str hashing decides
+        doc = json.loads(serialize_qbag(dialogue_step3()))
+        doc["attacks"] += [["z", "a"], ["x", "b"], ["y", "c"], ["a", "w"]]
+        path = tmp_path / "dangling.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            runs.append(
+                subprocess.run(
+                    [sys.executable, "-m", "qbag.cli", "eval", str(path)],
+                    capture_output=True, env=env, check=False,
+                )
+            )
+        assert [run.returncode for run in runs] == [2, 2]
+        assert runs[0].stderr == runs[1].stderr == (
+            b"DanglingEndpoint: document: attacks pair ('a', 'w') "
+            b"references undeclared argument 'w'\n"
+        )
+
+    @given(data=st.binary(max_size=96) | near_documents().map(str.encode))
+    @settings(
+        max_examples=150,
+        deadline=None,  # each example writes a file and runs the CLI
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_validate_exits_zero_or_two_on_any_bytes(self, runner, tmp_path, data):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code in (0, 2), result.exception

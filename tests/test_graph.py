@@ -62,6 +62,30 @@ class TestBuild:
             with pytest.raises(InvalidArgumentId):
                 build_qbag([(bad, 0.5)])
 
+    def test_id_rule_is_isspace_plus_comma(self):
+        # every code point str.isspace() rejects, plus the comma, is refused;
+        # one id holding every other code point is accepted
+        everything = [chr(code) for code in range(0x110000)]
+        forbidden = [ch for ch in everything if ch.isspace() or ch == ","]
+        for ch in forbidden:
+            with pytest.raises(InvalidArgumentId):
+                build_qbag([(f"a{ch}b", 0.5)])
+        allowed = "".join(ch for ch in everything if not (ch.isspace() or ch == ","))
+        assert build_qbag([(allowed, 0.5)]).args == {allowed}
+
+    def test_dangling_reports_least_pair_attacks_first(self):
+        with pytest.raises(
+            DanglingEndpoint,
+            match=r"^attacks pair \('b', 'x'\) references undeclared argument 'x'$",
+        ):
+            build_qbag(
+                [("a", 0.5), ("b", 0.5)],
+                attacks=[("z", "a"), ("b", "x"), ("y", "b")],
+                supports=[("a", "c")],
+            )
+        with pytest.raises(DanglingEndpoint, match=r"^supports pair \('a', 'c'\)"):
+            build_qbag([("a", 0.5)], supports=[("q", "r"), ("a", "c")])
+
     def test_self_loop_allowed_structurally(self):
         g = build_qbag([("a", 0.5)], attacks=[("a", "a")])
         assert not is_acyclic(g)

@@ -1,18 +1,23 @@
 """Document round-trips, parse errors, and CSV layouts."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbag import (
+    DanglingEndpoint,
     DocumentError,
     DuplicateArgument,
     EmptyChain,
+    QbagError,
     RelationOverlap,
     SLFQuery,
     StrengthOutOfRange,
     build_chain,
+    build_qbag,
     evaluate_chain,
     export_curve_csv,
     export_strengths_csv,
@@ -22,10 +27,25 @@ from qbag import (
     report_to_dict,
     serialize_chain,
     serialize_qbag,
+    sweep_chain,
 )
 
-from .cases import dialogue, dialogue_step1, dialogue_step3
-from .strategies import acyclic_qbags, arbitrary_qbags, chains
+from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base
+from .oracles import canonical_json, chain_document, qbag_document
+from .strategies import (
+    acyclic_qbags,
+    arbitrary_qbags,
+    chains,
+    exotic_qbags,
+    json_values,
+    near_documents,
+    shared_chains,
+    strengths,
+)
+
+ERROR_CORPUS = json.loads(
+    (Path(__file__).parent / "error_corpus.json").read_text(encoding="utf-8")
+)
 
 SEED_DOCUMENT = """
 {
@@ -109,6 +129,34 @@ class TestParseQbag:
         with pytest.raises(DocumentError, match=r"supports\[0\]"):
             parse_qbag(json.dumps(data))
 
+    def test_unknown_argument_keys(self):
+        data = json.loads(SEED_DOCUMENT)
+        data["arguments"][1]["inital"] = 0.9
+        data["arguments"][1]["weight"] = 2
+        with pytest.raises(
+            DocumentError, match=r"^arguments\[1\]: unknown keys: \['inital', 'weight'\]$"
+        ):
+            parse_qbag(json.dumps(data))
+
+    def test_dangling_report_is_least_pair(self):
+        data = json.loads(SEED_DOCUMENT)
+        data["attacks"] = [["z", "a"], ["a", "y"], ["x", "b"]]
+        data["supports"] = [["c", "a"], ["a", "w"]]
+        with pytest.raises(
+            DanglingEndpoint,
+            match=r"^document: attacks pair \('a', 'y'\) references undeclared argument 'y'$",
+        ):
+            parse_qbag(json.dumps(data))
+
+
+@pytest.mark.parametrize("case", ERROR_CORPUS, ids=[case["name"] for case in ERROR_CORPUS])
+def test_error_corpus(case):
+    """Malformed documents keep the error type, message and check precedence."""
+    parse = parse_qbag if case["parse"] == "qbag" else parse_chain
+    with pytest.raises(QbagError) as info:
+        parse(case["text"])
+    assert (type(info.value).__name__, str(info.value)) == (case["error"], case["message"])
+
 
 class TestParseChain:
     def test_inline_steps(self):
@@ -119,6 +167,34 @@ class TestParseChain:
         doc = json.dumps({"format_version": "1", "kind": "chain", "steps": []})
         with pytest.raises(EmptyChain):
             parse_chain(doc)
+
+    def test_unknown_step_keys(self):
+        # misspelt keys used to be ignored, silently dropping the edges
+        data = json.loads(serialize_chain(dialogue()))
+        data["steps"][1]["atacks"] = [["a", "a"]]
+        with pytest.raises(DocumentError, match=r"^steps\[1\]: unknown keys: \['atacks'\]$"):
+            parse_chain(json.dumps(data))
+
+    def test_unknown_argument_keys_in_step(self):
+        data = json.loads(serialize_chain(dialogue()))
+        data["steps"][2]["arguments"][0]["inital"] = 0.9
+        with pytest.raises(
+            DocumentError, match=r"^steps\[2\]\.arguments\[0\]: unknown keys: \['inital'\]$"
+        ):
+            parse_chain(json.dumps(data))
+
+    def test_repeated_structure_is_shared(self):
+        c = parse_chain(serialize_chain(sweep_chain(sweep_base(), "f", [0.1, 0.5, 0.9])))
+        first, *rest = c.steps
+        for g in rest:
+            assert g.args is first.args and g.att is first.att and g.supp is first.supp
+        assert [g.tau["f"] for g in c.steps] == [0.1, 0.5, 0.9]
+
+    def test_changed_structure_is_validated_again(self):
+        data = json.loads(serialize_chain(sweep_chain(sweep_base(), "f", [0.1, 0.5])))
+        data["steps"][1]["attacks"].append(["f", "z"])
+        with pytest.raises(DanglingEndpoint, match=r"^steps\[1\]: attacks pair"):
+            parse_chain(json.dumps(data))
 
     def test_step_errors_carry_step_path(self):
         data = json.loads(serialize_chain(dialogue()))
@@ -145,6 +221,70 @@ class TestRoundTrip:
     @settings(max_examples=40)
     def test_chain_identity(self, c):
         assert parse_chain(serialize_chain(c)) == c
+
+
+class TestCanonicalLayout:
+    """The emitter writes exactly what json.dumps(doc, indent=2) would."""
+
+    @given(st.one_of(acyclic_qbags(), arbitrary_qbags(), exotic_qbags()))
+    @settings(max_examples=80)
+    def test_qbag_matches_oracle(self, g):
+        assert serialize_qbag(g) == canonical_json(qbag_document(g))
+
+    @given(st.one_of(chains(), shared_chains()))
+    @settings(max_examples=60)
+    def test_chain_matches_oracle(self, c):
+        assert serialize_chain(c) == canonical_json(chain_document(c))
+
+    @given(exotic_qbags().filter(lambda g: g.args), st.lists(strengths, min_size=1, max_size=4))
+    @settings(max_examples=40)
+    def test_mixed_chain_matches_oracle(self, g, values):
+        # shared steps, a changed step, then the shared structure again
+        steps = list(sweep_chain(g, min(g.args), values)) + [build_qbag([]), g]
+        c = build_chain(steps)
+        assert serialize_chain(c) == canonical_json(chain_document(c))
+        assert parse_chain(serialize_chain(c)) == c
+
+    def test_empty_graph_and_relations(self):
+        for g in (build_qbag([]), build_qbag([("a", 1.0)]), build_qbag([("a", 0)])):
+            assert serialize_qbag(g) == canonical_json(qbag_document(g))
+        c = build_chain([build_qbag([]), build_qbag([])])
+        assert serialize_chain(c) == canonical_json(chain_document(c))
+
+    def test_escaped_ids(self):
+        g = build_qbag([('q"', 0.25), ("b\\s", 0.5), ("é", 1 / 3), ("\U0001f600", 0.1)],
+                       attacks=[('q"', "é")], supports=[("b\\s", "\U0001f600")])
+        text = serialize_qbag(g)
+        assert text.isascii()
+        assert text == canonical_json(qbag_document(g))
+        assert parse_qbag(text) == g
+
+
+class TestFuzz:
+    """Whatever the input, parsing returns a value or raises QbagError."""
+
+    @staticmethod
+    def _parse_all(text):
+        for parse in (parse_qbag, parse_chain):
+            try:
+                parse(text)
+            except QbagError:
+                pass
+
+    @given(json_values.map(json.dumps))
+    @settings(max_examples=150)
+    def test_json_trees(self, text):
+        self._parse_all(text)
+
+    @given(near_documents())
+    @settings(max_examples=300)
+    def test_near_documents(self, text):
+        self._parse_all(text)
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=150)
+    def test_bytes(self, data):
+        self._parse_all(data.decode("utf-8", errors="replace"))
 
 
 class TestStrengthsCsv:
