@@ -79,16 +79,22 @@ class FairnessReport:
 # -- safety ----------------------------------------------------------------
 
 
+def _always_at_or_above(m: StrengthMatrix, x: str, t: float) -> bool:
+    return all(v >= t for v in m.trajectory(x))
+
+
+def _finally_at_or_above(m: StrengthMatrix, x: str, t: float) -> bool:
+    return m.trajectory(x)[-1] >= t
+
+
 def is_strongly_safe(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic stays at or above the threshold at every step."""
-    return all(
-        v >= q.threshold for x in q.sorted_topics() for v in m.trajectory(x)
-    )
+    return all(_always_at_or_above(m, x, q.threshold) for x in q.sorted_topics())
 
 
 def is_weakly_safe(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic is at or above the threshold at the final step."""
-    return all(m.trajectory(x)[-1] >= q.threshold for x in q.sorted_topics())
+    return all(_finally_at_or_above(m, x, q.threshold) for x in q.sorted_topics())
 
 
 # -- liveness --------------------------------------------------------------
@@ -115,37 +121,25 @@ def is_live(m: StrengthMatrix, q: SLFQuery) -> bool:
 # -- binary fairness -------------------------------------------------------
 
 
-def _singleton_query(x: str, t: float) -> SLFQuery:
-    return SLFQuery(topics=frozenset({x}), threshold=t)
-
-
 def is_ideally_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is strongly safe, the whole set must be."""
-    if not any(
-        is_strongly_safe(m, _singleton_query(x, q.threshold))
-        for x in q.sorted_topics()
-    ):
-        return True
-    return is_strongly_safe(m, q)
+    t = q.threshold
+    some_topic = any(_always_at_or_above(m, x, t) for x in q.sorted_topics())
+    return not some_topic or is_strongly_safe(m, q)
 
 
 def is_lively_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is weakly safe, the whole set must be."""
-    if not any(
-        is_weakly_safe(m, _singleton_query(x, q.threshold)) for x in q.sorted_topics()
-    ):
-        return True
-    return is_weakly_safe(m, q)
+    t = q.threshold
+    some_topic = any(_finally_at_or_above(m, x, t) for x in q.sorted_topics())
+    return not some_topic or is_weakly_safe(m, q)
 
 
 def is_cautiously_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is strongly safe, the set must be weakly safe."""
-    if not any(
-        is_strongly_safe(m, _singleton_query(x, q.threshold))
-        for x in q.sorted_topics()
-    ):
-        return True
-    return is_weakly_safe(m, q)
+    t = q.threshold
+    some_topic = any(_always_at_or_above(m, x, t) for x in q.sorted_topics())
+    return not some_topic or is_weakly_safe(m, q)
 
 
 # -- gradual fairness ------------------------------------------------------

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from math import copysign
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicGraph, EmptyChain, TopicNotInChain, UnknownArgument
-from .graph import QBAG, is_sub_qbag, validate_strength
-from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, evaluate
+from .graph import QBAG, _index, _ordered, is_sub_qbag, validate_strength
+from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate
 
 
 @dataclass(frozen=True)
@@ -125,19 +126,83 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
     values = list(values)
     if not values:
         raise EmptyChain("a sweep needs at least one strength value")
+    base = g.tau.copy()  # a dict: merging it is fast, unlike the read-only view
     steps = []
     for v in values:
         v = validate_strength(v, owner=f"sweep value for {x!r}")
-        steps.append(QBAG(args=g.args, tau={**g.tau, x: v}, att=g.att, supp=g.supp))
+        steps.append(QBAG(args=g.args, tau={**base, x: v}, att=g.att, supp=g.supp))
     return Chain(steps=tuple(steps))
 
 
 def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatrix:
-    """Evaluate every step; raises CyclicGraph naming the offending step."""
-    rows = []
+    """Evaluate every step; raises CyclicGraph naming the offending step.
+
+    Each row is == to ``evaluate(step, sem)``, key order included, but a
+    step is not always evaluated from scratch.  Its plan (adjacency index
+    and topological order) is kept from the previous step while both
+    share ``args``, ``att`` and ``supp`` by identity, as parsed and swept
+    chains do.  When the step extends the previous one (every argument
+    and edge of the previous step is still there), only the downstream
+    cone of what changed is recomputed: new arguments, arguments whose
+    initial strength changed (0.0 and -0.0 count as different), and
+    targets of new edges.  DF-QuAD is modular, so every other argument
+    keeps its previous strength exactly.  Any other step is evaluated in
+    full.
+    """
+    rows: list[StrengthAssignment] = []
+    prev: QBAG | None = None
     for i, g in enumerate(c.steps, start=1):
-        try:
-            rows.append(evaluate(g, sem))
-        except CyclicGraph as exc:
-            raise CyclicGraph(f"step {i}: {exc}") from None
+        shared = (
+            prev is not None
+            and g.args is prev.args
+            and g.att is prev.att
+            and g.supp is prev.supp
+        )
+        if not shared:
+            index = _index(g)
+            try:
+                order = _ordered(g.args, index.successors)
+            except CyclicGraph as exc:
+                raise CyclicGraph(f"step {i}: {exc}") from None
+        if shared or (
+            prev is not None
+            and prev.args <= g.args
+            and prev.att <= g.att
+            and prev.supp <= g.supp
+        ):
+            sigma = dict.fromkeys(order)
+            sigma.update(rows[-1].values)
+            cone = _downstream(index.successors, _changed(prev, g))
+            todo = [x for x in order if x in cone]
+        else:
+            sigma, todo = {}, order
+        rows.append(StrengthAssignment(values=_propagate(g, sem, index, todo, sigma)))
+        prev = g
     return StrengthMatrix(rows=tuple(rows))
+
+
+def _changed(prev: QBAG, g: QBAG) -> set[str]:
+    """Arguments of g whose own inputs differ from prev, which g extends."""
+    seeds = set(g.args - prev.args)
+    seeds.update(t for _, t in g.att - prev.att)
+    seeds.update(t for _, t in g.supp - prev.supp)
+    tau = g.tau
+    seeds.update(
+        x
+        for x, old in prev.tau.items()
+        if (new := tau[x]) != old
+        or (new == 0.0 and copysign(1.0, new) != copysign(1.0, old))
+    )
+    return seeds
+
+
+def _downstream(successors: dict[str, list[str]], seeds: set[str]) -> set[str]:
+    """The seeds plus every argument they reach."""
+    cone = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for y in successors[stack.pop()]:
+            if y not in cone:
+                cone.add(y)
+                stack.append(y)
+    return cone

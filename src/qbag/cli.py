@@ -45,6 +45,9 @@ from .serialize import (
     serialize_chain,
 )
 
+# a sweep chain is built whole in memory, so the grid is capped
+MAX_SWEEP_STEPS = 1_000_000
+
 
 def _fail(message: str) -> None:
     click.echo(message, err=True)
@@ -206,7 +209,9 @@ def analyze(
 @click.option("--argument", "argument_id", required=True, help="Argument whose strength varies.")
 @click.option("--from", "start", required=True, type=float)
 @click.option("--to", "stop", required=True, type=float)
-@click.option("--steps", required=True, type=int)
+@click.option(
+    "--steps", required=True, type=int, help=f"Number of grid points, 1 to {MAX_SWEEP_STEPS}."
+)
 @click.option("--out", "out_path", default=None, help="Write the chain document here instead of stdout.")
 @click.option("--csv", "as_csv", is_flag=True, help="Evaluate the sweep and print the strength CSV.")
 @click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
@@ -225,6 +230,8 @@ def sweep(
     sem = semantics_by_name(semantics_name)
     if steps < 1:
         _fail(f"steps must be >= 1, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        _fail(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         _fail(f"sweep range [{start}, {stop}] outside [0, 1]")
     chain = sweep_chain(g, argument_id, _grid(start, stop, steps))

@@ -3,10 +3,10 @@
 A QBAG is a set of arguments, an initial strength for each argument in
 [0, 1], and two disjoint binary relations over the arguments: attacks and
 supports.  Everything in this module is a pure function of its inputs.
-A graph's argument set and relations are frozensets and may be shared,
-as the steps of a sweep chain share them; ``tau`` is a plain dict that
-callers must not mutate once the graph is built (making it read-only is
-ROADMAP item 2).
+A graph is an immutable, hashable value: its argument set and relations
+are frozensets and may be shared, as the steps of a sweep chain share
+them, and ``tau`` is a read-only mapping over a private copy of the
+strengths it was given.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     CyclicGraph,
@@ -34,16 +35,24 @@ Edge = tuple[str, str]
 class QBAG:
     """Arguments with initial strengths plus attack and support relations.
 
-    The fields are not reassignable, but ``tau`` is a dict that must not
-    be mutated.  Use :func:`build_qbag` rather than the raw constructor so
-    the invariants (valid unique ids, disjoint relations, declared
-    endpoints, strengths in range) are enforced.
+    Immutable: the fields are not reassignable, and ``tau`` is stored as
+    a read-only view of a copy of the mapping passed in, so assigning to
+    it raises TypeError.  Equal graphs hash equal; the hash covers the
+    structure, ``(args, att, supp)``.  Use :func:`build_qbag` rather than
+    the raw constructor so the invariants (valid unique ids, disjoint
+    relations, declared endpoints, strengths in range) are enforced.
     """
 
     args: frozenset[str]
-    tau: dict[str, float]
+    tau: Mapping[str, float]
     att: frozenset[Edge]
     supp: frozenset[Edge]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
+
+    def __hash__(self) -> int:
+        return hash((self.args, self.att, self.supp))
 
     def __repr__(self) -> str:
         return (

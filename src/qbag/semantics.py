@@ -17,15 +17,21 @@ a linear interpolation from the initial strength towards 0 or 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import StrengthOutOfRange, UnknownSemantics
-from .graph import QBAG, _index, _ordered
+from .graph import QBAG, _Index, _index, _ordered
 
 
 @dataclass(frozen=True)
 class SemanticsDescriptor:
-    """Named pair of aggregation and influence functions."""
+    """Named pair of aggregation and influence functions.
+
+    Both must be pure functions of their arguments: the same inputs give
+    the same float.  :func:`qbag.chain.evaluate_chain` relies on this when
+    it carries a strength over from the previous step instead of
+    recomputing it.
+    """
 
     name: str
     aggregation: Callable[[Sequence[float], Sequence[float]], float]
@@ -94,14 +100,30 @@ def evaluate(g: QBAG, sem: SemanticsDescriptor = DFQUAD) -> StrengthAssignment:
     input, and StrengthOutOfRange if the influence function leaves [0, 1].
     """
     index = _index(g)
-    sigma: dict[str, float] = {}
-    for x in _ordered(g.args, index.successors):
-        att_vals = [sigma[a] for a in index.attackers[x]]
-        supp_vals = [sigma[s] for s in index.supporters[x]]
-        value = sem.influence(g.tau[x], sem.aggregation(att_vals, supp_vals))
+    return StrengthAssignment(
+        values=_propagate(g, sem, index, _ordered(g.args, index.successors), {})
+    )
+
+
+def _propagate(
+    g: QBAG, sem: SemanticsDescriptor, index: _Index, todo: Iterable[str], sigma: dict
+) -> dict[str, float]:
+    """The evaluation loop: set sigma[x] for each x of todo, in that order.
+
+    Every in-neighbour of a listed argument must be listed before it or
+    already hold its final strength in sigma.  :func:`evaluate` lists
+    every argument in topological order; :func:`qbag.chain.evaluate_chain`
+    lists the downstream cone of what changed since the previous step.
+    """
+    tau, attackers, supporters = g.tau, index.attackers, index.supporters
+    aggregation, influence = sem.aggregation, sem.influence
+    for x in todo:
+        att_vals = [sigma[a] for a in attackers[x]]
+        supp_vals = [sigma[s] for s in supporters[x]]
+        value = influence(tau[x], aggregation(att_vals, supp_vals))
         if not 0.0 <= value <= 1.0:
             raise StrengthOutOfRange(
                 f"semantics {sem.name!r}: influence left [0, 1]: {value!r} for {x!r}"
             )
         sigma[x] = value
-    return StrengthAssignment(values=sigma)
+    return sigma

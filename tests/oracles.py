@@ -7,9 +7,12 @@ import numpy as np
 
 from qbag import (
     DFQUAD,
+    SLFQuery,
     attackers,
     fairness_line,
     is_expansion_chain,
+    is_strongly_safe,
+    is_weakly_safe,
     reaches,
     safety_curve,
     supporters,
@@ -37,6 +40,18 @@ def weak_expansion_oracle(chain):
         for g, h in pairwise(chain.steps)
         for x in h.args - g.args
         for y in g.args
+    )
+
+
+def binary_fairness_oracle(m, q):
+    """(ideal, lively, cautious) read literally: one singleton query per topic."""
+    singles = [SLFQuery(topics=frozenset({x}), threshold=q.threshold) for x in q.topics]
+    some_strong = any(is_strongly_safe(m, s) for s in singles)
+    some_weak = any(is_weakly_safe(m, s) for s in singles)
+    return (
+        not some_strong or is_strongly_safe(m, q),
+        not some_weak or is_weakly_safe(m, q),
+        not some_strong or is_weakly_safe(m, q),
     )
 
 

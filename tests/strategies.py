@@ -4,7 +4,16 @@ import json
 
 from hypothesis import strategies as st
 
-from qbag import Chain, QBAG, build_chain, build_qbag, common_arguments, sweep_chain
+from qbag import (
+    Chain,
+    QBAG,
+    build_chain,
+    build_qbag,
+    common_arguments,
+    restrict,
+    sweep_chain,
+    topological_order,
+)
 
 CORE_NAMES = "abcd"
 EXTRA_NAMES = "efgh"
@@ -153,6 +162,65 @@ def shared_chains(draw) -> Chain:
     g = draw(st.one_of(acyclic_qbags(min_args=1), exotic_qbags().filter(lambda g: g.args)))
     x = draw(st.sampled_from(sorted(g.args)))
     return sweep_chain(g, x, draw(st.lists(strengths, min_size=1, max_size=5)))
+
+
+# both signed zeros, which compare equal but a semantics may tell apart
+signed_strengths = st.one_of(strengths, st.sampled_from([0.0, -0.0, 1.0]))
+EDITS = ("sweep", "retune", "grow", "link", "unlink", "drop", "rewire")
+
+
+def _edit(draw, g: QBAG, fresh: list[str]) -> QBAG:
+    """One edit of g: a new step that a chain may follow g with."""
+    order = topological_order(g)
+    edit = draw(st.sampled_from(EDITS if order else ("grow",)))
+    edges = {p: p in g.att for p in g.att | g.supp}  # pair -> is an attack
+    taus = dict(g.tau)
+    if edit == "sweep":  # same structure by identity, as sweep_chain shares it
+        x = draw(st.sampled_from(order))
+        return sweep_chain(g, x, [draw(signed_strengths)]).steps[0]
+    if edit == "retune":  # equal but rebuilt structure, one strength changed
+        taus[draw(st.sampled_from(order))] = draw(signed_strengths)
+    elif edit == "grow" and fresh:  # a new argument anywhere in the order
+        new = fresh.pop(0)
+        cut = draw(st.integers(0, len(order)))
+        taus[new] = draw(signed_strengths)
+        order.insert(cut, new)
+        for x in sorted(draw(st.sets(st.sampled_from(order), max_size=3))):
+            pair = (x, new) if order.index(x) < cut else (new, x)
+            if x != new:
+                edges[pair] = draw(st.booleans())
+    elif edit == "link":  # a new edge between two old arguments
+        i, j = sorted(draw(st.lists(st.integers(0, len(order) - 1), min_size=2, max_size=2)))
+        if i != j:
+            edges.setdefault((order[i], order[j]), draw(st.booleans()))
+    elif edit == "unlink" and edges:
+        del edges[draw(st.sampled_from(sorted(edges)))]
+    elif edit == "drop":
+        return restrict(g, g.args - {draw(st.sampled_from(order))})
+    elif edit == "rewire":
+        att, supp = _forward_edges(draw, list(draw(st.permutations(order))))
+        edges = {p: True for p in att} | {p: False for p in supp}
+    return build_qbag(
+        [(x, taus[x]) for x in order],
+        attacks=[p for p, is_attack in edges.items() if is_attack],
+        supports=[p for p, is_attack in edges.items() if not is_attack],
+    )
+
+
+@st.composite
+def evolving_chains(draw, max_steps: int = 6) -> Chain:
+    """Chains whose every step is one edit of the step before it.
+
+    Edits sweep one initial strength (sharing the structure), change one
+    strength on a rebuilt structure, add an argument anywhere in the
+    order, add or remove an edge, drop an argument, or rewire every edge.
+    Initial strengths include both signed zeros.
+    """
+    steps = [draw(acyclic_qbags(min_args=1))]
+    fresh = list("ijklmnop")
+    for _ in range(draw(st.integers(0, max_steps - 1))):
+        steps.append(_edit(draw, steps[-1], fresh))
+    return build_chain(steps)
 
 
 # arbitrary JSON trees, keys biased towards the document schema's

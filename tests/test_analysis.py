@@ -34,7 +34,7 @@ from qbag import (
 )
 
 from .cases import dialogue, sweep_dialogue
-from .oracles import alternation_oracle, trapezoid_area_oracle
+from .oracles import alternation_oracle, binary_fairness_oracle, trapezoid_area_oracle
 from .strategies import chain_queries
 
 
@@ -194,6 +194,15 @@ class TestBinaryFairness:
         q = query(topics, threshold)
         if is_lively_fair(m, q):
             assert is_cautiously_fair(m, q)
+
+    @given(chain_queries())
+    @settings(max_examples=60)
+    def test_matches_singleton_query_oracle(self, case):
+        chain, topics, threshold = case
+        m = evaluate_chain(chain)
+        q = query(topics, threshold)
+        verdicts = (is_ideally_fair(m, q), is_lively_fair(m, q), is_cautiously_fair(m, q))
+        assert verdicts == binary_fairness_oracle(m, q)
 
 
 class TestExceedCounts:

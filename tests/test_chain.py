@@ -1,17 +1,25 @@
 """Chain construction, classification, and evaluation."""
 
+from math import copysign
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qbag import (
+    DFQUAD,
     CyclicGraph,
     EmptyChain,
+    SemanticsDescriptor,
+    StrengthOutOfRange,
     TopicNotInChain,
     UnknownArgument,
     build_chain,
     build_qbag,
     common_arguments,
+    dfquad_aggregation,
+    dfquad_influence,
+    evaluate,
     evaluate_chain,
     is_expansion_chain,
     is_normal_expansion_chain,
@@ -19,9 +27,15 @@ from qbag import (
     sweep_chain,
 )
 
-from .cases import dialogue, dialogue_step1, sweep_base, sweep_dialogue
-from .oracles import weak_expansion_oracle
-from .strategies import chains, weak_expansion_chains
+from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
+from .oracles import oracle_evaluate, weak_expansion_oracle
+from .strategies import (
+    chains,
+    evolving_chains,
+    shared_chains,
+    signed_strengths,
+    weak_expansion_chains,
+)
 
 
 class TestBuild:
@@ -217,3 +231,118 @@ class TestEvaluateChain:
             first, *rest = matrix.trajectory(x)
             for v in rest:
                 assert abs(v - first) <= 1e-12
+
+
+def _exact(values):
+    """Key order, value and sign of zero of every strength."""
+    return [(x, v.hex()) for x, v in values.items()]
+
+
+# tells -0.0 from 0.0, so a sign-of-zero change of tau must be recomputed
+SIGNED = SemanticsDescriptor(
+    name="signed",
+    aggregation=dfquad_aggregation,
+    influence=lambda base, aggregate: (
+        0.25 if copysign(1.0, base) < 0 else dfquad_influence(base, aggregate)
+    ),
+)
+# no damping towards the bounds, so it can leave [0, 1]
+UNBOUNDED = SemanticsDescriptor(
+    name="unbounded",
+    aggregation=dfquad_aggregation,
+    influence=lambda base, aggregate: base + aggregate,
+)
+
+
+@st.composite
+def sweeps(draw):
+    """Sweeps of a step of a mixed chain, including both signed zeros."""
+    g = draw(evolving_chains()).steps[-1]
+    if not g.args:
+        return build_chain([g])
+    x = draw(st.sampled_from(sorted(g.args)))
+    return sweep_chain(g, x, draw(st.lists(signed_strengths, min_size=1, max_size=5)))
+
+
+class TestIncrementalEvaluation:
+    """evaluate_chain reuses the previous step; each row must equal a full evaluation."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [chains(), shared_chains(), weak_expansion_chains(), sweeps(), evolving_chains()],
+        ids=["chains", "shared", "weak", "sweeps", "evolving"],
+    )
+    @pytest.mark.parametrize("sem", [DFQUAD, SIGNED], ids=["dfquad", "signed"])
+    @given(data=st.data())
+    def test_rows_equal_full_evaluation(self, strategy, sem, data):
+        chain = data.draw(strategy)
+        matrix = evaluate_chain(chain, sem)
+        assert len(matrix) == len(chain)
+        for step, row in zip(chain.steps, matrix.rows):
+            full = evaluate(step, sem)
+            assert row.values == full.values
+            assert _exact(row.values) == _exact(full.values)
+            oracle = oracle_evaluate(step, sem)
+            assert row.values == oracle
+            assert _exact(dict(sorted(row.values.items()))) == _exact(oracle)
+
+    @given(evolving_chains())
+    def test_range_error_at_the_first_failing_step(self, chain):
+        failure = None
+        for step in chain.steps:
+            try:
+                evaluate(step, UNBOUNDED)
+            except StrengthOutOfRange as exc:
+                failure = str(exc)
+                break
+        if failure is None:
+            rows = evaluate_chain(chain, UNBOUNDED).rows
+            assert [r.values for r in rows] == [evaluate(g, UNBOUNDED).values for g in chain]
+        else:
+            with pytest.raises(StrengthOutOfRange) as info:
+                evaluate_chain(chain, UNBOUNDED)
+            assert str(info.value) == failure
+
+    def test_cyclic_extension_after_shared_steps_names_its_step(self):
+        g = dialogue_step1()
+        swept = sweep_chain(g, "c", [0.2, 0.4])
+        cyclic = build_qbag(g.tau.items(), attacks=[("a", "c")], supports=[("c", "a")])
+        chain = build_chain([*swept.steps, cyclic])
+        with pytest.raises(CyclicGraph, match=r"^step 3: cycle through argument 'a'$"):
+            evaluate_chain(chain)
+
+    def test_range_error_downstream_of_a_swept_argument(self):
+        # a supports b: b = 0.5 + (1 - (1 - tau(a))) overshoots once tau(a) > 0.5
+        g = build_qbag([("a", 0.2), ("b", 0.5)], supports=[("a", "b")])
+        chain = sweep_chain(g, "a", [0.2, 0.9])
+        evaluate(chain.steps[0], UNBOUNDED)
+        with pytest.raises(StrengthOutOfRange) as expected:
+            evaluate(chain.steps[1], UNBOUNDED)
+        with pytest.raises(StrengthOutOfRange) as info:
+            evaluate_chain(chain, UNBOUNDED)
+        assert str(info.value) == str(expected.value)
+        assert "for 'b'" in str(info.value)
+
+    def test_signed_zero_change_is_recomputed(self):
+        g = build_qbag([("a", 0.0), ("b", 0.5)], supports=[("a", "b")])
+        chain = sweep_chain(g, "a", [0.0, -0.0, 0.0])
+        rows = evaluate_chain(chain, SIGNED).rows
+        assert [row["a"] for row in rows] == [0.0, 0.25, 0.0]
+        for step, row in zip(chain.steps, rows):
+            assert _exact(row.values) == _exact(evaluate(step, SIGNED).values)
+
+    def test_only_the_downstream_cone_is_recomputed(self):
+        calls = []
+
+        def counting(base, aggregate):
+            calls.append(base)
+            return dfquad_influence(base, aggregate)
+
+        sem = SemanticsDescriptor("counting", dfquad_aggregation, counting)
+        # c supports a and nothing else: a sweep of c recomputes c and a only
+        evaluate_chain(sweep_chain(dialogue_step3(), "c", [0.2, 0.3, 0.3, 0.6]), sem)
+        assert len(calls) == 5 + 2 + 0 + 2
+        calls.clear()
+        # step 2 adds d -> a, b; step 3 adds e -> d; c is never recomputed
+        evaluate_chain(dialogue(), sem)
+        assert len(calls) == 3 + 3 + 4

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qbag import parse_chain, serialize_chain, serialize_qbag
-from qbag.cli import main
+from qbag import cli
+from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
 from .strategies import near_documents
@@ -317,6 +318,29 @@ class TestSweep:
             ["sweep", sweep_path, "--argument", "f", "--from", "0", "--to", "1", "--steps", "0"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        ("steps", "message"),
+        [
+            (0, "steps must be >= 1, got 0"),
+            (MAX_SWEEP_STEPS + 1, f"steps must be <= 1000000, got {MAX_SWEEP_STEPS + 1}"),
+            (10**12, f"steps must be <= 1000000, got {10**12}"),
+        ],
+    )
+    def test_steps_out_of_bounds_fail_before_the_grid(
+        self, runner, sweep_path, monkeypatch, steps, message
+    ):
+        def unreachable(*args):
+            raise RuntimeError("the sweep was built")
+
+        monkeypatch.setattr(cli, "_grid", unreachable)
+        monkeypatch.setattr(cli, "sweep_chain", unreachable)
+        result = runner.invoke(
+            main,
+            ["sweep", sweep_path, "--argument", "f", "--from", "0", "--to", "1", "--steps", str(steps)],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == message + "\n"
 
     def test_unknown_argument_fails(self, runner, sweep_path):
         result = runner.invoke(

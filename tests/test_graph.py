@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbag import (
+    QBAG,
     CyclicGraph,
     DanglingEndpoint,
     DuplicateArgument,
@@ -17,8 +18,11 @@ from qbag import (
     is_acyclic,
     is_sub_qbag,
     reaches,
+    parse_chain,
     restrict,
+    serialize_chain,
     supporters,
+    sweep_chain,
     topological_order,
 )
 
@@ -160,6 +164,49 @@ class TestAcyclicity:
     @given(arbitrary_qbags())
     def test_matches_self_reachability(self, g):
         assert is_acyclic(g) == all(not reaches(g, x, x) for x in g.args)
+
+
+class TestImmutable:
+    @staticmethod
+    def graphs():
+        """One graph from each construction path."""
+        swept = sweep_chain(sweep_base(), "f", [0.3, 0.6])
+        parsed = parse_chain(serialize_chain(swept))  # step 2 shares step 1's structure
+        return {
+            "build_qbag": dialogue_step3(),
+            "restrict": restrict(dialogue_step3(), {"a", "c"}),
+            "sweep_chain": swept.steps[1],
+            "parse_chain": parsed.steps[1],
+            "constructor": QBAG(frozenset({"a"}), {"a": 0.5}, frozenset(), frozenset()),
+        }
+
+    @pytest.mark.parametrize(
+        "path", ["build_qbag", "restrict", "sweep_chain", "parse_chain", "constructor"]
+    )
+    def test_tau_is_read_only(self, path):
+        g = self.graphs()[path]
+        x = min(g.args)
+        with pytest.raises(TypeError):
+            g.tau[x] = 7.0
+        with pytest.raises(TypeError):
+            del g.tau[x]
+
+    def test_constructor_copies_the_mapping_it_is_given(self):
+        tau = {"a": 0.5}
+        g = QBAG(frozenset({"a"}), tau, frozenset(), frozenset())
+        tau["a"] = 7.0
+        assert g.tau == {"a": 0.5}
+
+    def test_equal_graphs_hash_equal(self):
+        assert hash(dialogue_step3()) == hash(dialogue_step3())
+        assert len({dialogue_step1(), dialogue_step1(), dialogue_step2()}) == 2
+        parsed = parse_chain(serialize_chain(sweep_chain(sweep_base(), "f", [0.1])))
+        assert parsed.steps[0] == sweep_base() and hash(parsed.steps[0]) == hash(sweep_base())
+
+    @given(acyclic_qbags())
+    def test_hash_is_consistent_with_equality(self, g):
+        rebuilt = build_qbag(g.tau.items(), attacks=g.att, supports=g.supp)
+        assert rebuilt == g and hash(rebuilt) == hash(g)
 
 
 class TestRestrict:
