@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Sequence
 
 from .chain import StrengthMatrix
@@ -42,6 +43,8 @@ class SLFQuery:
     threshold: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.topics, str):  # frozenset("ab") is {"a", "b"}
+            raise TypeError(f"topics must be a collection of ids, not the str {self.topics!r}")
         object.__setattr__(self, "topics", frozenset(self.topics))
         if not self.topics:
             raise EmptyTopicSet("query needs at least one topic argument")
@@ -76,25 +79,26 @@ class FairnessReport:
     shannon_score: float
 
 
+# -- the threshold states --------------------------------------------------
+
+
+def _states(m: StrengthMatrix, q: SLFQuery) -> dict[str, list[bool]]:
+    """Per topic, in sorted order, sigma >= t at each step: the one trajectory reader."""
+    t = q.threshold
+    return {x: [v >= t for v in m.trajectory(x)] for x in q.sorted_topics()}
+
+
 # -- safety ----------------------------------------------------------------
-
-
-def _always_at_or_above(m: StrengthMatrix, x: str, t: float) -> bool:
-    return all(v >= t for v in m.trajectory(x))
-
-
-def _finally_at_or_above(m: StrengthMatrix, x: str, t: float) -> bool:
-    return m.trajectory(x)[-1] >= t
 
 
 def is_strongly_safe(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic stays at or above the threshold at every step."""
-    return all(_always_at_or_above(m, x, q.threshold) for x in q.sorted_topics())
+    return all(all(s) for s in _states(m, q).values())
 
 
 def is_weakly_safe(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic is at or above the threshold at the final step."""
-    return all(_finally_at_or_above(m, x, q.threshold) for x in q.sorted_topics())
+    return all(s[-1] for s in _states(m, q).values())
 
 
 # -- liveness --------------------------------------------------------------
@@ -108,38 +112,37 @@ def fluctuation_count(m: StrengthMatrix, x: str, t: float) -> int:
     are counted.  Equivalently: the longest alternating subsequence of
     states, minus one.
     """
-    t = validate_strength(t, owner="threshold")
-    states = [v >= t for v in m.trajectory(x)]
-    return sum(1 for a, b in zip(states, states[1:]) if a != b)
+    states = _states(m, SLFQuery(topics=frozenset({x}), threshold=t))[x]
+    return sum(a != b for a, b in pairwise(states))
 
 
 def is_live(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic shows at least one fluctuation."""
-    return all(fluctuation_count(m, x, q.threshold) >= 1 for x in q.sorted_topics())
+    # a crossing exists exactly when both states occur
+    return all(len(set(s)) == 2 for s in _states(m, q).values())
 
 
 # -- binary fairness -------------------------------------------------------
+# The set is strongly (weakly) safe exactly when every singleton is, so
+# each notion is "no singleton is safe, or all of them are".
 
 
 def is_ideally_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is strongly safe, the whole set must be."""
-    t = q.threshold
-    some_topic = any(_always_at_or_above(m, x, t) for x in q.sorted_topics())
-    return not some_topic or is_strongly_safe(m, q)
+    always = [all(s) for s in _states(m, q).values()]
+    return not any(always) or all(always)
 
 
 def is_lively_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is weakly safe, the whole set must be."""
-    t = q.threshold
-    some_topic = any(_finally_at_or_above(m, x, t) for x in q.sorted_topics())
-    return not some_topic or is_weakly_safe(m, q)
+    final = [s[-1] for s in _states(m, q).values()]
+    return not any(final) or all(final)
 
 
 def is_cautiously_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is strongly safe, the set must be weakly safe."""
-    t = q.threshold
-    some_topic = any(_always_at_or_above(m, x, t) for x in q.sorted_topics())
-    return not some_topic or is_weakly_safe(m, q)
+    states = _states(m, q).values()
+    return not any(all(s) for s in states) or all(s[-1] for s in states)
 
 
 # -- gradual fairness ------------------------------------------------------
@@ -147,46 +150,7 @@ def is_cautiously_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
 
 def exceed_count(m: StrengthMatrix, x: str, t: float) -> int:
     """Number of steps at which x is at or above the threshold."""
-    t = validate_strength(t, owner="threshold")
-    return sum(1 for v in m.trajectory(x) if v >= t)
-
-
-def _exceed_counts(m: StrengthMatrix, q: SLFQuery) -> dict[str, int]:
-    return {x: exceed_count(m, x, q.threshold) for x in q.sorted_topics()}
-
-
-def _ascending(counts: dict[str, int]) -> list[tuple[str, int]]:
-    # ascending by count, ties broken by id for reproducible reports
-    return sorted(counts.items(), key=lambda item: (item[1], item[0]))
-
-
-def _curve(ascending: list[tuple[str, int]]) -> list[tuple[int, int]]:
-    points = [(0, 0)]
-    total = 0
-    for k, (_, count) in enumerate(ascending, start=1):
-        total += count
-        points.append((k, total))
-    return points
-
-
-def safety_curve(m: StrengthMatrix, q: SLFQuery) -> list[tuple[int, int]]:
-    """Integer lattice points of the ascending cumulative exceedance curve.
-
-    Starts at (0, 0) and ends at (|T|, sum of counts); the curve itself
-    is the piecewise-linear interpolation of these points.
-    """
-    return _curve(_ascending(_exceed_counts(m, q)))
-
-
-def _line(counts: dict[str, int]) -> FairnessLine:
-    total = sum(counts.values())
-    n = len(counts)
-    return FairnessLine(slope=Fraction(total, n), endpoints=((0, 0), (n, total)))
-
-
-def fairness_line(m: StrengthMatrix, q: SLFQuery) -> FairnessLine:
-    """The perfect-equality line joining (0, 0) and (|T|, sum of counts)."""
-    return _line(_exceed_counts(m, q))
+    return sum(_states(m, SLFQuery(topics=frozenset({x}), threshold=t))[x])
 
 
 def area_between_piecewise(
@@ -210,32 +174,71 @@ def area_between_piecewise(
     return total
 
 
-def _area(curve: list[tuple[int, int]], slope: Fraction) -> Fraction:
-    curve_ys = [Fraction(y) for _, y in curve]
-    line_ys = [slope * x for x, _ in curve]
-    return area_between_piecewise(line_ys, curve_ys)
+def shannon_base(dist: dict[str, Fraction]) -> int:
+    """Least common multiple of the distribution's denominators."""
+    return math.lcm(*(p.denominator for p in dist.values()))
+
+
+def fairness_report(m: StrengthMatrix, q: SLFQuery) -> FairnessReport:
+    """Counts, curve, line, and both gradual scores from one state pass."""
+    counts = {x: sum(s) for x, s in _states(m, q).items()}
+    # ascending by count, ties broken by id for reproducible reports
+    ordering = tuple(sorted(counts, key=lambda x: (counts[x], x)))
+    curve = [(0, 0)]
+    for k, x in enumerate(ordering, start=1):
+        curve.append((k, curve[-1][1] + counts[x]))
+    n, total = curve[-1]
+    slope = Fraction(total, n)
+    area = area_between_piecewise([slope * x for x, _ in curve], [Fraction(y) for _, y in curve])
+    dist = base = None
+    shannon = 1.0
+    if total:
+        dist = {x: Fraction(count, total) for x, count in counts.items()}
+        base = shannon_base(dist)
+        if base > 1:
+            log_base = math.log(base)
+            # a left-to-right loop in sorted order, not sum(): the float
+            # bits must not depend on the summation algorithm
+            shannon = 0.0
+            for p in dist.values():
+                if p > 0:
+                    shannon -= float(p) * (math.log(float(p)) / log_base)
+    return FairnessReport(
+        exceed_counts=counts,
+        ordering=ordering,
+        curve_points=tuple(curve),
+        line_slope=slope,
+        gini_area=area,
+        gini_score=2.0 / (1.0 + math.exp(-float(area))) - 1.0,
+        p=dist,
+        base_b=base,
+        shannon_score=shannon,
+    )
+
+
+def safety_curve(m: StrengthMatrix, q: SLFQuery) -> list[tuple[int, int]]:
+    """Integer lattice points of the ascending cumulative exceedance curve.
+
+    Starts at (0, 0) and ends at (|T|, sum of counts); the curve itself
+    is the piecewise-linear interpolation of these points.
+    """
+    return list(fairness_report(m, q).curve_points)
+
+
+def fairness_line(m: StrengthMatrix, q: SLFQuery) -> FairnessLine:
+    """The perfect-equality line joining (0, 0) and (|T|, sum of counts)."""
+    report = fairness_report(m, q)
+    return FairnessLine(slope=report.line_slope, endpoints=((0, 0), report.curve_points[-1]))
 
 
 def gini_unnormalized(m: StrengthMatrix, q: SLFQuery) -> Fraction:
     """Exact area between the fairness line and the safety curve."""
-    counts = _exceed_counts(m, q)
-    return _area(_curve(_ascending(counts)), _line(counts).slope)
-
-
-def _sigmoid(area: Fraction) -> float:
-    return 2.0 / (1.0 + math.exp(-float(area))) - 1.0
+    return fairness_report(m, q).gini_area
 
 
 def gini_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
     """Sigmoid-normalized area; 0 means perfect equality, values stay < 1."""
-    return _sigmoid(gini_unnormalized(m, q))
-
-
-def _distribution(counts: dict[str, int]) -> dict[str, Fraction] | None:
-    total = sum(counts.values())
-    if total == 0:
-        return None
-    return {x: Fraction(count, total) for x, count in sorted(counts.items())}
+    return fairness_report(m, q).gini_score
 
 
 def exceed_distribution(
@@ -246,27 +249,7 @@ def exceed_distribution(
     Undefined (None) when no topic ever reaches the threshold.  When
     defined the values sum to exactly 1.
     """
-    return _distribution(_exceed_counts(m, q))
-
-
-def shannon_base(dist: dict[str, Fraction]) -> int:
-    """Least common multiple of the distribution's denominators."""
-    return math.lcm(*(p.denominator for p in dist.values()))
-
-
-def _entropy(dist: dict[str, Fraction] | None) -> float:
-    if dist is None:
-        return 1.0
-    base = shannon_base(dist)
-    if base == 1:
-        return 1.0
-    log_base = math.log(base)
-    entropy = 0.0
-    for x in sorted(dist):
-        p = dist[x]
-        if p > 0:
-            entropy -= float(p) * (math.log(float(p)) / log_base)
-    return entropy
+    return fairness_report(m, q).p
 
 
 def shannon_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
@@ -277,25 +260,4 @@ def shannon_fairness(m: StrengthMatrix, q: SLFQuery) -> float:
     i.e. the uniform distribution over one carrier).  Terms with p = 0
     contribute nothing (0 * log 0 = 0).
     """
-    return _entropy(exceed_distribution(m, q))
-
-
-def fairness_report(m: StrengthMatrix, q: SLFQuery) -> FairnessReport:
-    """Counts, curve, line, and both gradual scores from one count pass."""
-    counts = _exceed_counts(m, q)
-    ascending = _ascending(counts)
-    curve = _curve(ascending)
-    slope = _line(counts).slope
-    area = _area(curve, slope)
-    dist = _distribution(counts)
-    return FairnessReport(
-        exceed_counts=counts,
-        ordering=tuple(x for x, _ in ascending),
-        curve_points=tuple(curve),
-        line_slope=slope,
-        gini_area=area,
-        gini_score=_sigmoid(area),
-        p=dist,
-        base_b=None if dist is None else shannon_base(dist),
-        shannon_score=_entropy(dist),
-    )
+    return fairness_report(m, q).shannon_score

@@ -46,6 +46,10 @@ class StrengthMatrix:
 
     rows: tuple[StrengthAssignment, ...]
 
+    def __post_init__(self) -> None:
+        if not self.rows:
+            raise EmptyChain("a strength matrix needs at least one row")
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -61,10 +65,11 @@ class StrengthMatrix:
 
     def trajectory(self, x: str) -> tuple[float, ...]:
         """Strengths of x across all steps; x must occur in every step."""
-        for i, row in enumerate(self.rows, start=1):
-            if x not in row:
-                raise TopicNotInChain(f"argument {x!r} missing from step {i}")
-        return tuple(row[x] for row in self.rows)
+        try:
+            return tuple([row.values[x] for row in self.rows])
+        except KeyError:
+            i = next(i for i, row in enumerate(self.rows, start=1) if x not in row)
+            raise TopicNotInChain(f"argument {x!r} missing from step {i}") from None
 
 
 def build_chain(qbags: Sequence[QBAG]) -> Chain:

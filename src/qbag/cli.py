@@ -37,6 +37,7 @@ from .errors import QbagError
 from .graph import is_acyclic
 from .semantics import evaluate, semantics_by_name
 from .serialize import (
+    _SCORE_PLACES,
     export_curve_csv,
     export_strengths_csv,
     parse_chain,
@@ -61,11 +62,18 @@ def _read_text(path: str) -> str:
         _fail(f"cannot read {path}: {exc}")
 
 
-def _split_topics(topics: str) -> list[str]:
+def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
+    """The strength matrix of the chain document and the query the options give."""
+    chain = parse_chain(_read_text(chain_path))
+    matrix = evaluate_chain(chain, semantics_by_name(semantics_name))
     ids = [t for t in topics.split(",") if t]
     if not ids:
         _fail("no topics given")
-    return ids
+    return matrix, SLFQuery(topics=frozenset(ids), threshold=threshold)
+
+
+_semantics_option = click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
+_topics_option = click.option("--topics", required=True, help="Comma-separated topic argument ids.")
 
 
 def _grid(start: float, stop: float, steps: int) -> list[float]:
@@ -119,7 +127,7 @@ def validate(chain_path: str) -> None:
 
 @main.command(name="eval")
 @click.argument("qbag_path")
-@click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
+@_semantics_option
 def eval_cmd(qbag_path: str, semantics_name: str) -> None:
     """Print final strengths of a single graph."""
     g = parse_qbag(_read_text(qbag_path))
@@ -134,7 +142,7 @@ def eval_cmd(qbag_path: str, semantics_name: str) -> None:
 
 @main.command()
 @click.argument("chain_path")
-@click.option("--topics", required=True, help="Comma-separated topic argument ids.")
+@_topics_option
 @click.option("--threshold", required=True, type=float, help="Justification threshold in [0, 1].")
 @click.option(
     "--checks",
@@ -142,7 +150,7 @@ def eval_cmd(qbag_path: str, semantics_name: str) -> None:
     default="all",
     show_default=True,
 )
-@click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
+@_semantics_option
 @click.option(
     "--format",
     "fmt",
@@ -159,49 +167,42 @@ def analyze(
     fmt: str,
 ) -> None:
     """Run safety, liveness, and fairness checks on a chain."""
-    chain = parse_chain(_read_text(chain_path))
-    sem = semantics_by_name(semantics_name)
-    matrix = evaluate_chain(chain, sem)
-    query = SLFQuery(topics=frozenset(_split_topics(topics)), threshold=threshold)
-    entries: list[tuple[str, object]] = []
+    matrix, query = _query(chain_path, topics, threshold, semantics_name)
+    result: dict[str, object] = {}
     report = None
     if checks in ("safety", "all"):
-        entries.append(("strongly_safe", is_strongly_safe(matrix, query)))
-        entries.append(("weakly_safe", is_weakly_safe(matrix, query)))
+        result["strongly_safe"] = is_strongly_safe(matrix, query)
+        result["weakly_safe"] = is_weakly_safe(matrix, query)
     if checks in ("liveness", "all"):
-        for x in query.sorted_topics():
-            entries.append(
-                (f"fluctuations[{x}]", fluctuation_count(matrix, x, threshold))
-            )
-        entries.append(("live", is_live(matrix, query)))
+        result["fluctuations"] = {
+            x: fluctuation_count(matrix, x, threshold) for x in query.sorted_topics()
+        }
+        result["live"] = is_live(matrix, query)
     if checks in ("fairness", "all"):
-        entries.append(("ideally_fair", is_ideally_fair(matrix, query)))
-        entries.append(("lively_fair", is_lively_fair(matrix, query)))
-        entries.append(("cautiously_fair", is_cautiously_fair(matrix, query)))
+        result["ideally_fair"] = is_ideally_fair(matrix, query)
+        result["lively_fair"] = is_lively_fair(matrix, query)
+        result["cautiously_fair"] = is_cautiously_fair(matrix, query)
         report = fairness_report(matrix, query)
-        entries.append(("gini_score", report.gini_score))
-        entries.append(("shannon_score", report.shannon_score))
+        result["gini_score"] = report.gini_score
+        result["shannon_score"] = report.shannon_score
 
     if fmt == "structured":
-        payload: dict[str, object] = {}
-        for key, value in entries:
-            if key.startswith("fluctuations["):
-                payload.setdefault("fluctuations", {})[key[len("fluctuations[") : -1]] = value
-            elif key in ("gini_score", "shannon_score"):
-                payload[key] = round(value, 5)
-            else:
-                payload[key] = value
+        payload = {k: round(v, _SCORE_PLACES) if isinstance(v, float) else v for k, v in result.items()}
         if report is not None:
             payload["fairness_report"] = report_to_dict(report)
         click.echo(json.dumps(payload, indent=2))
-    else:
-        sep = "," if fmt == "csv" else ": "
-        for key, value in entries:
-            if isinstance(value, bool):
-                value = _yesno(value)
-            elif isinstance(value, float):
-                value = format(value, ".5f")
-            click.echo(f"{key}{sep}{value}")
+        return
+    sep = "," if fmt == "csv" else ": "
+    for key, value in result.items():
+        # a nested mapping is written as one key[x] line per entry
+        entries = value.items() if isinstance(value, dict) else [(None, value)]
+        for x, v in entries:
+            name = key if x is None else f"{key}[{x}]"
+            if isinstance(v, bool):
+                v = _yesno(v)
+            elif isinstance(v, float):
+                v = format(v, f".{_SCORE_PLACES}f")
+            click.echo(f"{name}{sep}{v}")
 
 
 @main.command()
@@ -214,7 +215,7 @@ def analyze(
 )
 @click.option("--out", "out_path", default=None, help="Write the chain document here instead of stdout.")
 @click.option("--csv", "as_csv", is_flag=True, help="Evaluate the sweep and print the strength CSV.")
-@click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
+@_semantics_option
 def sweep(
     qbag_path: str,
     argument_id: str,
@@ -252,17 +253,13 @@ def sweep(
 
 @main.command()
 @click.argument("chain_path")
-@click.option("--topics", required=True, help="Comma-separated topic argument ids.")
+@_topics_option
 @click.option("--threshold", required=True, type=float)
-@click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
+@_semantics_option
 def curve(chain_path: str, topics: str, threshold: float, semantics_name: str) -> None:
     """Print the safety-curve / fairness-line breakpoints as CSV."""
-    chain = parse_chain(_read_text(chain_path))
-    sem = semantics_by_name(semantics_name)
-    matrix = evaluate_chain(chain, sem)
-    query = SLFQuery(topics=frozenset(_split_topics(topics)), threshold=threshold)
-    report = fairness_report(matrix, query)
-    click.echo(export_curve_csv(report), nl=False)
+    matrix, query = _query(chain_path, topics, threshold, semantics_name)
+    click.echo(export_curve_csv(fairness_report(matrix, query)), nl=False)
 
 
 if __name__ == "__main__":

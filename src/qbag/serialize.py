@@ -31,6 +31,8 @@ from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
 from .graph import QBAG, Edge, build_qbag
 
 FORMAT_VERSION = "1"
+# decimal places of the gradual fairness scores in every rendered report
+_SCORE_PLACES = 5
 _TOP_LEVEL_KEYS = {
     "qbag": {"format_version", "kind", "arguments", "attacks", "supports"},
     "chain": {"format_version", "kind", "steps"},
@@ -281,12 +283,11 @@ def export_curve_csv(report: FairnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(report: FairnessReport, places: int = 5) -> dict:
+def report_to_dict(report: FairnessReport) -> dict:
     """Stable key-ordered mapping for structured output.
 
     Rationals are rendered as exact 'numerator/denominator' strings;
-    scores are rounded to the given number of decimal places (5 by
-    default, matching the precision the analysis is usually quoted at).
+    scores are rounded to _SCORE_PLACES decimal places.
     """
     return {
         "exceed_counts": dict(sorted(report.exceed_counts.items())),
@@ -294,8 +295,8 @@ def report_to_dict(report: FairnessReport, places: int = 5) -> dict:
         "curve_points": [list(p) for p in report.curve_points],
         "line_slope": str(report.line_slope),
         "gini_area": str(report.gini_area),
-        "gini_score": round(report.gini_score, places),
+        "gini_score": round(report.gini_score, _SCORE_PLACES),
         "p": None if report.p is None else {x: str(p) for x, p in sorted(report.p.items())},
         "base_b": report.base_b,
-        "shannon_score": round(report.shannon_score, places),
+        "shannon_score": round(report.shannon_score, _SCORE_PLACES),
     }

@@ -1,6 +1,7 @@
 """Independent brute-force oracles the fast paths are checked against."""
 
 import json
+import math
 from itertools import pairwise
 
 import numpy as np
@@ -67,6 +68,27 @@ def alternation_oracle(states):
         lengths.append(longest)
         best = max(best, longest)
     return max(best - 1, 0)
+
+
+def gini_score_oracle(area):
+    """The sigmoid of the exact area, as the Gini score was first written."""
+    return 2.0 / (1.0 + math.exp(-float(area))) - 1.0
+
+
+def shannon_score_oracle(dist):
+    """The entropy loop as the Shannon score was first written: sorted, left to right."""
+    if dist is None:
+        return 1.0
+    base = math.lcm(*(p.denominator for p in dist.values()))
+    if base == 1:
+        return 1.0
+    log_base = math.log(base)
+    entropy = 0.0
+    for x in sorted(dist):
+        p = dist[x]
+        if p > 0:
+            entropy -= float(p) * (math.log(float(p)) / log_base)
+    return entropy
 
 
 def trapezoid_area_oracle(m, q, points=10_000):

@@ -266,3 +266,19 @@ def near_documents(draw):
             steps.append(steps[-1])  # a repeated step takes the shared-structure path
         doc = {"format_version": "1", "kind": "chain", "steps": steps}
     return json.dumps(doc)
+
+
+@st.composite
+def matrix_queries(draw, max_topics: int = 7, max_steps: int = 9):
+    """(rows, topics, threshold): strength rows drawn directly, no graph behind them.
+
+    Values are often the threshold itself or a near neighbour of a common
+    one, so ties at the boundary and many distinct exceedance counts occur.
+    """
+    threshold = draw(thresholds)
+    topics = [f"t{k}" for k in range(draw(st.integers(1, max_topics)))]
+    values = strengths | st.sampled_from([threshold, 0.0, 1.0, 0.19999999999999998, 0.2])
+    rows = draw(
+        st.lists(st.fixed_dictionaries({x: values for x in topics}), min_size=1, max_size=max_steps)
+    )
+    return rows, frozenset(topics), threshold

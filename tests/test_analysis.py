@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from qbag import (
+    EmptyChain,
     EmptyTopicSet,
     FairnessReport,
     SLFQuery,
@@ -34,8 +35,14 @@ from qbag import (
 )
 
 from .cases import dialogue, sweep_dialogue
-from .oracles import alternation_oracle, binary_fairness_oracle, trapezoid_area_oracle
-from .strategies import chain_queries
+from .oracles import (
+    alternation_oracle,
+    binary_fairness_oracle,
+    gini_score_oracle,
+    shannon_score_oracle,
+    trapezoid_area_oracle,
+)
+from .strategies import chain_queries, matrix_queries
 
 
 def matrix_from_rows(rows):
@@ -72,6 +79,28 @@ class TestQuery:
             is_strongly_safe(dialogue_matrix, query({"z"}, 0.2))
         with pytest.raises(TopicNotInChain):
             gini_fairness(dialogue_matrix, query({"d"}, 0.2))
+
+    @pytest.mark.parametrize(
+        "check",
+        [is_strongly_safe, is_weakly_safe, is_live, is_ideally_fair, is_lively_fair,
+         is_cautiously_fair, fairness_report],
+    )
+    def test_unknown_topic_surfaces_after_a_decided_verdict(self, check):
+        # "a" alone already settles every verdict below; the checks used
+        # to stop there and never look for the missing "z"
+        m = matrix_from_rows([{"a": 0.9}, {"a": 0.1}, {"a": 0.1}])
+        with pytest.raises(TopicNotInChain, match="'z' missing from step 1"):
+            check(m, query({"a", "z"}, 0.5))
+
+    def test_bare_str_topics_rejected(self):
+        # frozenset("ab") would split one id into the topics "a" and "b"
+        with pytest.raises(TypeError, match="not the str 'ab'"):
+            SLFQuery(topics="ab", threshold=0.2)
+
+    def test_empty_matrix_rejected(self):
+        # every check used to read row -1 of it (IndexError) or pass vacuously
+        with pytest.raises(EmptyChain):
+            StrengthMatrix(rows=())
 
 
 class TestSafety:
@@ -416,3 +445,31 @@ class TestTieBreakIndependence:
             shannon_score=shannon_fairness(m, q),
         )
         assert fairness_report(m, q) == assembled
+
+
+class TestScoreBits:
+    """Both scores keep the float bits of their first, counts-level definitions."""
+
+    @staticmethod
+    def check(m, q):
+        counts = {x: sum(v >= q.threshold for v in m.trajectory(x)) for x in q.topics}
+        total = sum(counts.values())
+        dist = None if total == 0 else {x: Fraction(c, total) for x, c in counts.items()}
+        report = fairness_report(m, q)
+        assert report.p == dist
+        assert report.gini_score.hex() == gini_score_oracle(report.gini_area).hex()
+        assert report.shannon_score.hex() == shannon_score_oracle(dist).hex()
+        assert gini_fairness(m, q).hex() == report.gini_score.hex()
+        assert shannon_fairness(m, q).hex() == report.shannon_score.hex()
+
+    @given(matrix_queries())
+    @settings(max_examples=200)
+    def test_matches_oracles_on_drawn_rows(self, case):
+        rows, topics, threshold = case
+        self.check(matrix_from_rows(rows), query(topics, threshold))
+
+    @given(chain_queries())
+    @settings(max_examples=60)
+    def test_matches_oracles_on_chains(self, case):
+        chain, topics, threshold = case
+        self.check(evaluate_chain(chain), query(topics, threshold))

@@ -18,6 +18,14 @@ from qbag.cli import MAX_SWEEP_STEPS, main
 from .cases import dialogue, dialogue_step3, sweep_base
 from .strategies import near_documents
 
+# Exact stdout of analyze (every --checks x --format at thresholds 0, 0.2
+# and 1) and curve on the dialogue chain with topics a,b,c, recorded
+# before analyze built one result mapping: it pins key order, the place
+# of the fluctuations block and the score formatting.
+ANALYZE_GOLDEN = json.loads(
+    (Path(__file__).parent / "analyze_golden.json").read_text(encoding="utf-8")
+)
+
 
 @pytest.fixture()
 def runner():
@@ -184,6 +192,26 @@ class TestAnalyze:
         )
         assert result.exit_code == 2
         assert "TopicNotInChain" in result.stderr
+
+    def test_topic_missing_after_a_failing_one_fails(self, runner, chain_path):
+        # a is below 0.9 at every step, which used to settle both safety
+        # verdicts before the missing z was looked at
+        result = runner.invoke(
+            main,
+            ["analyze", chain_path, "--topics", "a,z", "--threshold", "0.9", "--checks", "safety"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "TopicNotInChain: argument 'z' missing from step 1\n"
+
+    @pytest.mark.parametrize(
+        "case", ANALYZE_GOLDEN, ids=[" ".join(case["args"]) for case in ANALYZE_GOLDEN]
+    )
+    def test_golden_output(self, runner, chain_path, case):
+        command, *options = case["args"]
+        result = runner.invoke(main, [command, chain_path, *options])
+        assert result.exit_code == 0
+        assert result.stdout == case["stdout"]
 
     def test_threshold_out_of_range_fails(self, runner, chain_path):
         result = runner.invoke(
