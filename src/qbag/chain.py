@@ -12,10 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import copysign
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CyclicGraph, EmptyChain, TopicNotInChain, UnknownArgument
-from .graph import QBAG, _index, _ordered, is_sub_qbag, validate_strength
+from .graph import (
+    QBAG,
+    Edge,
+    _extend_index,
+    _Index,
+    _index,
+    _ordered,
+    is_sub_qbag,
+    validate_strength,
+)
 from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate
 
 
@@ -83,32 +92,33 @@ def is_expansion_chain(c: Chain) -> bool:
     return all(is_sub_qbag(g, h) and g != h for g, h in pairwise(c.steps))
 
 
+def _new_edges(g: QBAG, h: QBAG) -> frozenset[Edge]:
+    """The edges of h that g lacks, for an h that contains g."""
+    return (h.att - g.att) | (h.supp - g.supp)
+
+
 def is_normal_expansion_chain(c: Chain) -> bool:
     """Expansion chain where every new relation touches a new argument."""
     if not is_expansion_chain(c):
         return False
-    for g, h in pairwise(c.steps):
-        new_args = h.args - g.args
-        new_edges = (h.att | h.supp) - (g.att | g.supp)
-        for s, t in new_edges:
-            if s not in new_args and t not in new_args:
-                return False
-    return True
+    return not any(
+        s in g.args and t in g.args for g, h in pairwise(c.steps) for s, t in _new_edges(g, h)
+    )
 
 
 def is_weak_expansion_chain(c: Chain) -> bool:
     """Expansion chain where no new argument reaches any old argument.
 
     A path from a new argument to an old one crosses an edge from a new
-    argument to an old one where it first enters the old arguments, so
-    one pass over each step's edges decides reachability.
+    argument to an old one where it first enters the old arguments.  That
+    edge is new, so a pass over each step's new edges decides reachability.
     """
     if not is_expansion_chain(c):
         return False
     return not any(
         s not in g.args and t in g.args
         for g, h in pairwise(c.steps)
-        for s, t in h.att | h.supp
+        for s, t in _new_edges(g, h)
     )
 
 
@@ -139,66 +149,120 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
     return Chain(steps=tuple(steps))
 
 
-def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatrix:
-    """Evaluate every step; raises CyclicGraph naming the offending step.
+def _plans(c: Chain) -> Iterator[tuple[QBAG, _Index, set[str] | None]]:
+    """Each step with its adjacency index and the arguments its structure changed.
 
-    Each row is == to ``evaluate(step, sem)``, key order included, but a
-    step is not always evaluated from scratch.  Its plan (adjacency index
-    and topological order) is kept from the previous step while both
-    share ``args``, ``att`` and ``supp`` by identity, as parsed and swept
-    chains do.  When the step extends the previous one (every argument
-    and edge of the previous step is still there), only the downstream
-    cone of what changed is recomputed: new arguments, arguments whose
-    initial strength changed (0.0 and -0.0 count as different), and
-    targets of new edges.  DF-QuAD is modular, so every other argument
-    keeps its previous strength exactly.  Any other step is evaluated in
-    full.
+    One index serves the whole chain.  While a step contains the previous
+    one (every argument and edge of it), the index is extended in place,
+    and the step comes with the arguments whose in-edges changed: an
+    empty set when the structure is the same.  Any other step gets a
+    fresh index and None.
     """
-    rows: list[StrengthAssignment] = []
     prev: QBAG | None = None
-    for i, g in enumerate(c.steps, start=1):
-        shared = (
-            prev is not None
-            and g.args is prev.args
-            and g.att is prev.att
-            and g.supp is prev.supp
-        )
-        if not shared:
-            index = _index(g)
-            try:
-                order = _ordered(g.args, index.successors)
-            except CyclicGraph as exc:
-                raise CyclicGraph(f"step {i}: {exc}") from None
-        if shared or (
+    for g in c.steps:
+        if prev is not None and g.args is prev.args and g.att is prev.att and g.supp is prev.supp:
+            changed: set[str] | None = set()
+        elif (
             prev is not None
             and prev.args <= g.args
             and prev.att <= g.att
             and prev.supp <= g.supp
         ):
-            sigma = dict.fromkeys(order)
-            sigma.update(rows[-1].values)
-            cone = _downstream(index.successors, _changed(prev, g))
-            todo = [x for x in order if x in cone]
+            changed = _extend_index(index, prev, g)
         else:
-            sigma, todo = {}, order
+            index, changed = _index(g), None
+        yield g, index, changed
+        prev = g
+
+
+def _is_dag(args: Collection[str], successors: dict[str, list[str]]) -> bool:
+    """Whether the arguments, closed under successors, hold no cycle."""
+    try:
+        _ordered(args, successors)
+    except CyclicGraph:
+        return False
+    return True
+
+
+def _acyclic_steps(c: Chain) -> list[bool]:
+    """``[is_acyclic(g) for g in c]``, checking each step only where it changed.
+
+    A step that contains an acyclic predecessor can only close a cycle
+    through a new edge, so only the downstream cone of the arguments
+    whose in-edges changed is checked.  A step that contains a cyclic
+    one keeps its cycle.
+    """
+    verdicts: list[bool] = []
+    acyclic = True
+    for g, index, changed in _plans(c):
+        if changed is None:
+            acyclic = _is_dag(g.args, index.successors)
+        elif changed and acyclic:
+            acyclic = _is_dag(_downstream(index.successors, changed), index.successors)
+        verdicts.append(acyclic)
+    return verdicts
+
+
+def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatrix:
+    """Evaluate every step; raises CyclicGraph naming the offending step.
+
+    Each row is == to ``evaluate(step, sem)`` and, like it, keyed by
+    ascending argument id, but a step is not always evaluated from
+    scratch.  While a step contains the previous one (every argument and
+    edge of the previous step is still there), the adjacency index is
+    extended in place, and only the downstream cone of what changed is
+    ordered and recomputed: new arguments, arguments whose initial
+    strength changed (0.0 and -0.0 count as different), and targets of
+    new edges.  DF-QuAD is modular, so every other argument keeps its
+    previous strength exactly.  Any other step is evaluated in full.
+    """
+    rows: list[StrengthAssignment] = []
+    prev: QBAG | None = None
+    for i, (g, index, changed) in enumerate(_plans(c), start=1):
+        if changed is None:
+            cone, sigma = g.args, dict.fromkeys(sorted(g.args))
+        else:
+            cone = _downstream(index.successors, changed | _retuned(prev, g))
+            last = rows[-1].values
+            # a copy keeps the ascending key order; new arguments need a merge
+            if len(last) == len(g.args):
+                sigma = dict(last)
+            else:
+                sigma = dict.fromkeys(sorted(g.args)) | last
+        todo = _step_order(g, cone, index.successors, i)
         rows.append(StrengthAssignment(values=_propagate(g, sem, index, todo, sigma)))
         prev = g
     return StrengthMatrix(rows=tuple(rows))
 
 
-def _changed(prev: QBAG, g: QBAG) -> set[str]:
-    """Arguments of g whose own inputs differ from prev, which g extends."""
-    seeds = set(g.args - prev.args)
-    seeds.update(t for _, t in g.att - prev.att)
-    seeds.update(t for _, t in g.supp - prev.supp)
-    tau = g.tau
-    seeds.update(
+def _step_order(
+    g: QBAG, cone: Collection[str], successors: dict[str, list[str]], i: int
+) -> list[str]:
+    """The cone of step i in topological order.
+
+    A cycle is reported as a sort of the whole step words it, so the
+    message does not depend on which cone was ordered.
+    """
+    try:
+        return _ordered(cone, successors)
+    except CyclicGraph:
+        pass
+    try:
+        return _ordered(g.args, successors)
+    except CyclicGraph as exc:
+        raise CyclicGraph(f"step {i}: {exc}") from None
+
+
+def _retuned(prev: QBAG, g: QBAG) -> set[str]:
+    """Arguments of prev whose initial strength g changes; 0.0 and -0.0 differ."""
+    old, new = prev.tau, g.tau
+    if old.items() <= new.items() and 0.0 not in old.values():
+        return set()
+    return {
         x
-        for x, old in prev.tau.items()
-        if (new := tau[x]) != old
-        or (new == 0.0 and copysign(1.0, new) != copysign(1.0, old))
-    )
-    return seeds
+        for x, v in old.items()
+        if (w := new[x]) != v or (w == 0.0 and copysign(1.0, w) != copysign(1.0, v))
+    }
 
 
 def _downstream(successors: dict[str, list[str]], seeds: set[str]) -> set[str]:

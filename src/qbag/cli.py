@@ -27,6 +27,7 @@ from .analysis import (
     is_weakly_safe,
 )
 from .chain import (
+    _acyclic_steps,
     evaluate_chain,
     is_expansion_chain,
     is_normal_expansion_chain,
@@ -34,7 +35,6 @@ from .chain import (
     sweep_chain,
 )
 from .errors import QbagError
-from .graph import is_acyclic
 from .semantics import evaluate, semantics_by_name
 from .serialize import (
     _SCORE_PLACES,
@@ -112,14 +112,11 @@ def main() -> None:
 def validate(chain_path: str) -> None:
     """Check a chain document and classify the chain."""
     chain = parse_chain(_read_text(chain_path))
-    cyclic_steps = []
-    for i, g in enumerate(chain.steps, start=1):
-        acyclic = is_acyclic(g)
-        if not acyclic:
-            cyclic_steps.append(i)
+    verdicts = _acyclic_steps(chain)
+    for i, acyclic in enumerate(verdicts, start=1):
         click.echo(f"step {i}: {'acyclic' if acyclic else 'cyclic'}")
-    if cyclic_steps:
-        _fail(f"CyclicGraph at step {cyclic_steps[0]}")
+    if not all(verdicts):
+        _fail(f"CyclicGraph at step {verdicts.index(False) + 1}")
     click.echo(f"expansion: {_yesno(is_expansion_chain(chain))}")
     click.echo(f"normal: {_yesno(is_normal_expansion_chain(chain))}")
     click.echo(f"weak: {_yesno(is_weak_expansion_chain(chain))}")
@@ -133,11 +130,7 @@ def eval_cmd(qbag_path: str, semantics_name: str) -> None:
     g = parse_qbag(_read_text(qbag_path))
     sem = semantics_by_name(semantics_name)
     assignment = evaluate(g, sem)
-    click.echo(
-        " ".join(
-            f"{x}={format(assignment[x], '.12g')}" for x in sorted(assignment.values)
-        )
-    )
+    click.echo(" ".join(f"{x}={format(v, '.12g')}" for x, v in assignment.values.items()))
 
 
 @main.command()

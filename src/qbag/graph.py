@@ -12,11 +12,12 @@ strengths it was given.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
     CyclicGraph,
@@ -97,8 +98,9 @@ def build_qbag(
     then endpoints, attacks before supports, reporting the least
     offending pair; then overlap.  Self-loops are structurally allowed
     here; they are cycles and get rejected at evaluation time.  These
-    rules live only here: document parsing validates every distinct step
-    structure through this function.
+    rules live only in this module: document parsing validates every
+    step through this function, or through :func:`_extend_qbag` for
+    what a step adds to the one before.
     """
     tau: dict[str, float] = {}
     for arg, strength in args:
@@ -123,6 +125,51 @@ def build_qbag(
         raise RelationOverlap(f"pairs in both attacks and supports: {sorted(overlap)}")
 
     return QBAG(args=declared, tau=tau, att=att, supp=supp)
+
+
+def _extend_qbag(
+    prev: QBAG, ids: list, values: list, attacks: list[Edge], supports: list[Edge]
+) -> QBAG | None:
+    """``build_qbag(zip(ids, values), attacks, supports)`` for a graph that contains prev.
+
+    Only what prev lacks is checked: its arguments and pairs already
+    passed every rule.  The new relations keep prev's pair tuples, and
+    every set operation runs in C.  The values must be ints or floats in
+    [0, 1].  Returns None when the graph does not contain prev or breaks
+    a rule; :func:`build_qbag` then reports the error in its precedence.
+    """
+    try:
+        declared = frozenset(ids)
+    except TypeError:  # an unhashable id
+        return None
+    new_args = declared - prev.args
+    if len(declared) != len(ids) or not _adds_to(prev.args, declared, new_args):
+        return None
+    for arg in new_args:
+        if not isinstance(arg, str) or not arg or _FORBIDDEN_IN_ID.search(arg):
+            return None
+    att, supp = frozenset(attacks), frozenset(supports)
+    new_att, new_supp = att - prev.att, supp - prev.supp
+    if not (
+        _adds_to(prev.att, att, new_att)
+        and _adds_to(prev.supp, supp, new_supp)
+        and declared.issuperset(chain.from_iterable(new_att))
+        and declared.issuperset(chain.from_iterable(new_supp))
+        and new_att.isdisjoint(supp)
+        and new_supp.isdisjoint(att)
+    ):
+        return None
+    return QBAG(
+        args=prev.args | new_args,
+        tau=dict(zip(ids, map(float, values))),
+        att=prev.att | new_att,
+        supp=prev.supp | new_supp,
+    )
+
+
+def _adds_to(old: frozenset, given: frozenset, added: frozenset) -> bool:
+    """Whether given contains old, where added is ``given - old``."""
+    return len(given) - len(added) == len(old)
 
 
 def _require_argument(g: QBAG, x: str) -> None:
@@ -172,6 +219,28 @@ def _index(g: QBAG) -> _Index:
     return _Index(successors, attacker_lists, supporter_lists)
 
 
+def _extend_index(index: _Index, prev: QBAG, g: QBAG) -> set[str]:
+    """Turn prev's index into g's in place, for a g that contains prev.
+
+    New arguments get empty lists, and ``bisect.insort`` puts each new
+    edge into the sorted lists, so the result is ``==`` to ``_index(g)``.
+    Returns the arguments whose in-edges changed: the new arguments and
+    the targets of new edges.  Any new cycle passes through one of them.
+    """
+    successors, attacker_lists, supporter_lists = index
+    new_args = g.args - prev.args
+    for x in new_args:
+        successors[x], attacker_lists[x], supporter_lists[x] = [], [], []
+    changed = set(new_args)
+    new_edges = ((g.att - prev.att, attacker_lists), (g.supp - prev.supp, supporter_lists))
+    for relation, in_lists in new_edges:
+        for s, t in relation:
+            insort(successors[s], t)
+            insort(in_lists[t], s)
+            changed.add(t)
+    return changed
+
+
 def reaches(g: QBAG, x: str, y: str) -> bool:
     """True iff a directed path of length >= 1 leads from x to y."""
     _require_argument(g, x)
@@ -218,7 +287,7 @@ def is_sub_qbag(small: QBAG, large: QBAG) -> bool:
         small.args <= large.args
         and small.att <= large.att
         and small.supp <= large.supp
-        and all(small.tau[x] == large.tau[x] for x in small.args)
+        and small.tau.items() <= large.tau.items()
     )
 
 
@@ -233,8 +302,12 @@ def topological_order(g: QBAG) -> list[str]:
     return _ordered(g.args, _index(g).successors)
 
 
-def _ordered(args: frozenset[str], adj: dict[str, list[str]]) -> list[str]:
-    """The traversal behind :func:`topological_order`, over a prebuilt index."""
+def _ordered(args: Collection[str], adj: dict[str, list[str]]) -> list[str]:
+    """The traversal behind :func:`topological_order`, over a prebuilt index.
+
+    Every successor of an argument in args must be in args too, as in a
+    whole graph or a downstream cone of one.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     state = dict.fromkeys(args, WHITE)
     finished: list[str] = []

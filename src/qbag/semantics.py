@@ -40,7 +40,11 @@ class SemanticsDescriptor:
 
 @dataclass(frozen=True)
 class StrengthAssignment:
-    """Final strength per argument of one evaluated graph."""
+    """Final strength per argument of one evaluated graph.
+
+    :func:`evaluate` and :func:`qbag.chain.evaluate_chain` key ``values``
+    by ascending argument id.
+    """
 
     values: Mapping[str, float]
 
@@ -96,12 +100,14 @@ def evaluate(g: QBAG, sem: SemanticsDescriptor = DFQUAD) -> StrengthAssignment:
     Arguments are processed in topological order, so attacker and
     supporter strengths are final by the time they are aggregated.
     Neighbor strengths enter the aggregation in ascending id order, which
-    pins down the floating-point result.  Raises CyclicGraph for cyclic
-    input, and StrengthOutOfRange if the influence function leaves [0, 1].
+    pins down the floating-point result.  The result is keyed by
+    ascending argument id.  Raises CyclicGraph for cyclic input, and
+    StrengthOutOfRange if the influence function leaves [0, 1].
     """
     index = _index(g)
+    order = _ordered(g.args, index.successors)
     return StrengthAssignment(
-        values=_propagate(g, sem, index, _ordered(g.args, index.successors), {})
+        values=_propagate(g, sem, index, order, dict.fromkeys(sorted(g.args)))
     )
 
 
@@ -114,6 +120,8 @@ def _propagate(
     already hold its final strength in sigma.  :func:`evaluate` lists
     every argument in topological order; :func:`qbag.chain.evaluate_chain`
     lists the downstream cone of what changed since the previous step.
+    Both pass a sigma whose keys are already in ascending id order, and
+    setting a key keeps its place.
     """
     tau, attackers, supporters = g.tau, index.attackers, index.supporters
     aggregation, influence = sem.aggregation, sem.influence

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
 from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
-from .graph import QBAG, Edge, build_qbag
+from .graph import QBAG, Edge, _extend_qbag, build_qbag
 
 FORMAT_VERSION = "1"
 # decimal places of the gradual fairness scores in every rendered report
@@ -108,7 +108,9 @@ def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _
     A step whose ids and raw edge lists are == to the previous step's
     passes those rules exactly when the previous step did, so it reuses
     the previous step's validated frozensets and only reads its own
-    initial strengths.
+    initial strengths.  A step that contains the previous one has only
+    its new ids and pairs checked, by ``graph._extend_qbag``; when that
+    finds a problem, build_qbag checks the whole step and words the error.
     """
     raw_args = payload.get("arguments")
     if type(raw_args) is not list:
@@ -144,13 +146,17 @@ def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _
         return _Step(ids, raw_att, raw_supp, QBAG(g.args, tau, g.att, g.supp))
     attacks = _parse_edges(raw_att, f"{path}attacks")
     supports = _parse_edges(raw_supp, f"{path}supports")
-    try:
-        g = build_qbag(zip(ids, values), attacks=attacks, supports=supports)
-    except QbagError as exc:
-        # duplicate ids, dangling endpoints, relation overlap: keep the
-        # specific error type, prefix the document location
-        where = path.rstrip(".") or "document"
-        raise type(exc)(f"{where}: {exc}") from None
+    g = None
+    if previous is not None:
+        g = _extend_qbag(previous.graph, ids, values, attacks, supports)
+    if g is None:
+        try:
+            g = build_qbag(zip(ids, values), attacks=attacks, supports=supports)
+        except QbagError as exc:
+            # duplicate ids, dangling endpoints, relation overlap: keep the
+            # specific error type, prefix the document location
+            where = path.rstrip(".") or "document"
+            raise type(exc)(f"{where}: {exc}") from None
     return _Step(ids, raw_att, raw_supp, g)
 
 
@@ -164,7 +170,10 @@ def parse_chain(text: str) -> Chain:
     """Parse and validate a chain document.
 
     Consecutive steps with the same arguments and relations share one
-    set of frozensets, as the steps of :func:`sweep_chain` do.
+    set of frozensets, as the steps of :func:`sweep_chain` do.  A step
+    that extends the previous one costs what it adds: only its new ids
+    and pairs are checked, and its relations reuse the previous step's
+    pair tuples.
     """
     data = _load_document(text, "chain")
     steps = data.get("steps")
@@ -266,12 +275,13 @@ def export_strengths_csv(m: StrengthMatrix) -> str:
     """Long-format trajectory table: one row per (step, argument).
 
     Steps are numbered from 1; arguments absent from a step contribute no
-    row.  Rows are ordered by (step, argument id).
+    row.  Rows follow the step, then the row's key order, which is
+    ascending argument id for every matrix :func:`evaluate_chain` returns.
     """
     lines = ["step,argument,final_strength"]
     for i, row in enumerate(m.rows, start=1):
-        for x in sorted(row.values):
-            lines.append(f"{i},{x},{_dec12(row[x])}")
+        for x, v in row.values.items():
+            lines.append(f"{i},{x},{_dec12(v)}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,14 @@ import numpy as np
 
 from qbag import (
     DFQUAD,
+    DocumentError,
+    EmptyChain,
+    QbagError,
     SLFQuery,
+    StrengthOutOfRange,
     attackers,
+    build_chain,
+    build_qbag,
     fairness_line,
     is_expansion_chain,
     is_strongly_safe,
@@ -122,3 +128,91 @@ def _payload(g):
 def canonical_json(doc):
     """The canonical layout by definition: the standard library's indenting encoder."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def parse_chain_oracle(text):
+    """The chain parse as it was before steps reused their predecessor.
+
+    Every step is checked in full and built by build_qbag, and no step
+    shares anything with another; the checks, their order and the
+    messages are those of ``qbag.serialize`` at that time.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise DocumentError("document nested too deeply") from None
+    except ValueError as exc:
+        raise DocumentError(f"unreadable value: {exc}") from None
+    if type(data) is not dict:
+        raise DocumentError("document root must be an object")
+    if "format_version" not in data:
+        raise DocumentError("missing format_version")
+    if data["format_version"] != "1":
+        raise DocumentError(
+            f"unsupported format_version {data['format_version']!r} (supported: '1')"
+        )
+    kind = data.get("kind")
+    if kind not in ("qbag", "chain"):
+        raise DocumentError(f"unknown kind {kind!r}")
+    if kind != "chain":
+        raise DocumentError(f"expected kind 'chain', found {kind!r}")
+    _reject_unknown_keys(data, {"format_version", "kind", "steps"}, "unknown top-level keys")
+    steps = data.get("steps")
+    if type(steps) is not list:
+        raise DocumentError("steps: expected a list")
+    if not steps:
+        raise EmptyChain("chain document has zero steps")
+    qbags = []
+    for i, payload in enumerate(steps):
+        if type(payload) is not dict:
+            raise DocumentError(f"steps[{i}]: expected an object")
+        allowed = {"arguments", "attacks", "supports"}
+        _reject_unknown_keys(payload, allowed, f"steps[{i}]: unknown keys")
+        qbags.append(_parse_payload_oracle(payload, f"steps[{i}]."))
+    return build_chain(qbags)
+
+
+def _reject_unknown_keys(obj, allowed, label):
+    unknown = sorted(obj.keys() - allowed)
+    if unknown:
+        raise DocumentError(f"{label}: {unknown}")
+
+
+def _parse_payload_oracle(payload, path):
+    raw_args = payload.get("arguments")
+    if type(raw_args) is not list:
+        raise DocumentError(f"{path}arguments: expected a list")
+    args = []
+    for i, entry in enumerate(raw_args):
+        if type(entry) is not dict or "id" not in entry or "initial" not in entry:
+            raise DocumentError(f"{path}arguments[{i}]: expected an object with id and initial")
+        if len(entry) != 2:
+            _reject_unknown_keys(entry, {"id", "initial"}, f"{path}arguments[{i}]: unknown keys")
+        initial = entry["initial"]
+        if type(initial) is not float and type(initial) is not int:
+            raise DocumentError(f"{path}arguments[{i}].initial: expected a number")
+        if not 0.0 <= initial <= 1.0:
+            raise StrengthOutOfRange(f"{path}arguments[{i}].initial: {initial!r} outside [0, 1]")
+        args.append((entry["id"], initial))
+    relations = {}
+    for name in ("attacks", "supports"):
+        raw = payload.get(name)
+        if type(raw) is not list:
+            raise DocumentError(f"{path}{name}: expected a list")
+        for i, pair in enumerate(raw):
+            if (
+                type(pair) is not list
+                or len(pair) != 2
+                or type(pair[0]) is not str
+                or type(pair[1]) is not str
+            ):
+                raise DocumentError(f"{path}{name}[{i}]: expected a [source, target] pair of ids")
+        relations[name] = [tuple(pair) for pair in raw]
+    try:
+        return build_qbag(args, **relations)
+    except QbagError as exc:
+        raise type(exc)(f"{path.rstrip('.')}: {exc}") from None

@@ -1,6 +1,7 @@
 """Hypothesis strategies for random graphs, chains, and analysis queries."""
 
 import json
+import re
 
 from hypothesis import strategies as st
 
@@ -282,3 +283,133 @@ def matrix_queries(draw, max_topics: int = 7, max_steps: int = 9):
         st.lists(st.fixed_dictionaries({x: values for x in topics}), min_size=1, max_size=max_steps)
     )
     return rows, frozenset(topics), threshold
+
+
+@st.composite
+def closing_chains(draw) -> Chain:
+    """evolving_chains() followed by steps that may close a cycle and go on.
+
+    Each added step links two arguments of the step before (a self-loop
+    included), adds an argument with edges both ways, sweeps one strength
+    on the shared structure, or returns to an earlier step.  The first
+    two extend the step before, so a cycle they close lies downstream of
+    a new edge; a step that extends a cyclic step stays cyclic.
+    """
+    steps = list(draw(evolving_chains(max_steps=4)).steps)
+    fresh = list("qrstuvwx")
+    for _ in range(draw(st.integers(1, 4))):
+        g = steps[-1]
+        order = sorted(g.args)
+        taus, att, supp = dict(g.tau), set(g.att), set(g.supp)
+        edits = ("link", "link", "grow", "sweep", "return") if order else ("grow",)
+        edit = draw(st.sampled_from(edits))
+        if edit == "sweep":
+            x = draw(st.sampled_from(order))
+            steps.append(sweep_chain(g, x, [draw(strengths)]).steps[0])
+            continue
+        if edit == "return":
+            steps.append(draw(st.sampled_from(steps)))
+            continue
+        ends = [(x, y) for x in order for y in order]
+        if edit == "grow":
+            new = fresh.pop(0)
+            taus[new] = draw(strengths)
+            ends = [(x, new) for x in order] + [(new, x) for x in order] + [(new, new)]
+        for pair in draw(st.lists(st.sampled_from(ends), max_size=3, unique=True)):
+            if pair not in att and pair not in supp:
+                (att if draw(st.booleans()) else supp).add(pair)
+        steps.append(build_qbag(taus.items(), attacks=att, supports=supp))
+    return build_chain(steps)
+
+
+# the mutations of a canonical chain document, byte level unless noted
+MUTATIONS = (
+    "space",
+    "swap_keys",
+    "duplicate_key",
+    "digit",
+    "truncate",
+    "escape",
+    "pair_to_string",
+    "repeat_id",
+    "close_cycle",  # on the decoded document, written back canonically
+)
+_KEY = re.compile(r'"(id|initial|attacks|supports)": ')
+_PAIR = re.compile(r'\[\n *("(?:[^"\\]|\\.)*"),\n *("(?:[^"\\]|\\.)*")\n *\]')
+_ARGUMENT = re.compile(r'\{\n *"id": [^\n]*,\n *"initial": [^\n]*\n *\}')
+_PATTERNS = {
+    "swap_keys": _KEY,
+    "duplicate_key": _KEY,
+    "pair_to_string": _PAIR,
+    "repeat_id": _ARGUMENT,
+}
+_PARTNER = {"id": "initial", "initial": "id", "attacks": "supports", "supports": "attacks"}
+
+
+def _close_cycle(draw, text: str) -> str:
+    """An edge between two ids of a step, kept in every later step."""
+    try:  # only a document that earlier mutations left well formed
+        doc = json.loads(text)
+        steps = doc["steps"]
+        ids = [[a["id"] for a in step["arguments"]] for step in steps]
+        if not all(type(step[k]) is list for step in steps for k in ("attacks", "supports")):
+            return text
+    except (ValueError, LookupError, TypeError):
+        return text
+    i = draw(st.integers(0, len(steps) - 1))
+    if ids[i]:
+        pair = [draw(st.sampled_from(ids[i])), draw(st.sampled_from(ids[i]))]
+        for step in steps[i:]:
+            step[draw(st.sampled_from(["attacks", "supports"]))].append(pair)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _mutate(draw, text: str) -> str:
+    """One mutation of a document's text."""
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "close_cycle":
+        return _close_cycle(draw, text)
+    if mutation == "space":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + " " + text[at:]
+    if mutation == "truncate":
+        return text[: draw(st.integers(0, max(len(text) - 1, 0)))]
+    if mutation in ("digit", "escape"):
+        test = str.isdigit if mutation == "digit" else str.isalpha
+        places = [i for i, ch in enumerate(text) if test(ch)]
+        if not places:
+            return text
+        at = draw(st.sampled_from(places))
+        if mutation == "digit":
+            replacement = draw(st.sampled_from("0123456789"))
+        else:  # the same character, or the next one, as a \u escape
+            replacement = f"\\u{ord(text[at]) + draw(st.sampled_from([0, 0, 1])):04x}"
+        return text[:at] + replacement + text[at + 1 :]
+    matches = list(_PATTERNS[mutation].finditer(text))
+    if not matches:
+        return text
+    m = draw(st.sampled_from(matches))
+    if mutation == "swap_keys":
+        return text[: m.start(1)] + _PARTNER[m.group(1)] + text[m.end(1) :]
+    if mutation == "duplicate_key":  # the key again: first, or last so that it wins
+        value = draw(st.sampled_from(['"a"', "0.5", "[]", '[["a", "b"]]', "1", "null"]))
+        copy = f'"{m.group(1)}": {value}'
+        line_end = text.find("\n", m.end())
+        if draw(st.booleans()) and line_end > 0 and text[line_end - 1] == ",":
+            return text[:line_end] + f" {copy}," + text[line_end:]
+        return text[: m.start()] + f"{copy}, " + text[m.start() :]
+    if mutation == "pair_to_string":  # ["a", "b"] becomes "ab"
+        return text[: m.start()] + m.group(1)[:-1] + m.group(2)[1:] + text[m.end() :]
+    # repeat_id: an argument object again, later in its step or in a later step
+    later = [n.end() for n in matches if n.start() > m.start()]
+    at = draw(st.sampled_from(later)) if later else m.end()
+    return text[:at] + ",\n" + m.group(0) + text[at:]
+
+
+@st.composite
+def mutated_documents(draw, texts) -> str:
+    """Documents drawn from texts, with one or two mutations, or none."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 2))):
+        text = _mutate(draw, text)
+    return text

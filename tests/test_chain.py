@@ -21,16 +21,23 @@ from qbag import (
     dfquad_influence,
     evaluate,
     evaluate_chain,
+    is_acyclic,
     is_expansion_chain,
     is_normal_expansion_chain,
+    is_sub_qbag,
     is_weak_expansion_chain,
+    parse_chain,
+    serialize_chain,
     sweep_chain,
 )
+from qbag.chain import _acyclic_steps, _plans
+from qbag.graph import _index, _ordered
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
-from .oracles import oracle_evaluate, weak_expansion_oracle
+from .oracles import oracle_evaluate, parse_chain_oracle, weak_expansion_oracle
 from .strategies import (
     chains,
+    closing_chains,
     evolving_chains,
     shared_chains,
     signed_strengths,
@@ -346,3 +353,85 @@ class TestIncrementalEvaluation:
         # step 2 adds d -> a, b; step 3 adds e -> d; c is never recomputed
         evaluate_chain(dialogue(), sem)
         assert len(calls) == 3 + 3 + 4
+
+
+class TestIncrementalStructure:
+    """Parse, index and cycle check of extension steps equal the full ones.
+
+    A step that extends its predecessor is validated, indexed and checked
+    for cycles only where it grows.
+    """
+
+    @given(st.one_of(evolving_chains(), closing_chains()))
+    def test_verdicts_equal_full_checks(self, chain):
+        text = serialize_chain(chain)
+        parsed = parse_chain(text)
+        assert parsed == parse_chain_oracle(text) == chain
+        verdicts = _acyclic_steps(parsed)
+        assert verdicts == [is_acyclic(g) for g in chain]
+        first = next((i for i, ok in enumerate(verdicts, start=1) if not ok), None)
+        if first is None:
+            evaluate_chain(parsed)
+            return
+        g = chain.steps[first - 1]
+        with pytest.raises(CyclicGraph) as full:
+            _ordered(g.args, _index(g).successors)
+        with pytest.raises(CyclicGraph) as info:
+            evaluate_chain(parsed)
+        assert str(info.value) == f"step {first}: {full.value}"
+
+    @given(st.one_of(evolving_chains(), closing_chains(), weak_expansion_chains()))
+    def test_extended_index_equals_a_fresh_one(self, chain):
+        for g, index, changed in _plans(chain):
+            assert index == _index(g)
+            if changed is not None:
+                assert changed <= g.args
+
+    def test_step_extending_a_cyclic_step_stays_cyclic(self):
+        g = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "b")])
+        loop = build_qbag(g.tau.items(), attacks=[("a", "b")], supports=[("b", "a")])
+        grown = build_qbag([*g.tau.items(), ("c", 0.5)], attacks=[("a", "b"), ("c", "a")],
+                           supports=[("b", "a")])
+        assert _acyclic_steps(build_chain([g, loop, grown, g])) == [True, False, False, True]
+        with pytest.raises(CyclicGraph, match=r"^step 2: cycle through argument 'a'$"):
+            evaluate_chain(build_chain([g, loop, grown]))
+
+    def test_cycle_is_named_as_a_sort_of_the_whole_step_names_it(self):
+        # the new support b -> c closes c -> b -> c; a sort of the cone
+        # {b, c} meets it at b first, a sort of the whole step at c
+        g = build_qbag([("a", 0.5), ("b", 0.5), ("c", 0.5)], attacks=[("a", "c"), ("c", "b")])
+        h = build_qbag(g.tau.items(), attacks=g.att, supports=[("b", "c")])
+        with pytest.raises(CyclicGraph, match=r"^cycle through argument 'c'$"):
+            evaluate(h)
+        with pytest.raises(CyclicGraph, match=r"^step 2: cycle through argument 'c'$"):
+            evaluate_chain(build_chain([g, h]))
+
+    def test_new_self_loop_is_a_cycle(self):
+        g = dialogue_step1()
+        h = build_qbag(g.tau.items(), attacks=[("b", "b")], supports=g.supp)
+        assert _acyclic_steps(build_chain([g, h])) == [True, False]
+        with pytest.raises(CyclicGraph, match=r"^step 2: cycle through argument 'b'$"):
+            evaluate_chain(build_chain([g, h]))
+
+
+class TestRowKeyOrder:
+    """Rows are keyed by ascending argument id, a stated part of the API."""
+
+    @given(st.one_of(chains(), shared_chains(), weak_expansion_chains(), evolving_chains()))
+    def test_rows_are_keyed_by_ascending_id(self, chain):
+        for g, row in zip(chain, evaluate_chain(chain).rows):
+            assert list(row.values) == sorted(row.domain())
+            assert list(evaluate(g).values) == sorted(g.args)
+
+
+class TestContainment:
+    @given(evolving_chains())
+    def test_sub_qbag_matches_the_definition(self, chain):
+        for g, h in zip(chain.steps, chain.steps[1:]):
+            literal = (
+                g.args <= h.args
+                and g.att <= h.att
+                and g.supp <= h.supp
+                and all(g.tau[x] == h.tau[x] for x in g.args)
+            )
+            assert is_sub_qbag(g, h) == literal

@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line interface."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,15 +9,36 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qbag import parse_chain, serialize_chain, serialize_qbag
+import qbag.chain
+from qbag import common_arguments, parse_chain, serialize_chain, serialize_qbag, sweep_chain
 from qbag import cli
 from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
-from .strategies import near_documents
+from .strategies import (
+    chains,
+    evolving_chains,
+    mutated_documents,
+    near_documents,
+    shared_chains,
+    thresholds,
+    weak_expansion_chains,
+)
+
+
+def _load_reference():
+    """bench/reference.py, the benchmark's qbag-free reference, imported by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _load_reference()
 
 # Exact stdout of analyze (every --checks x --format at thresholds 0, 0.2
 # and 1) and curve on the dialogue chain with topics a,b,c, recorded
@@ -467,3 +489,126 @@ class TestDeterminism:
         path.write_bytes(data)
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code in (0, 2), result.exception
+
+
+def _plain(g):
+    """A graph as the reference reads it: (tau, attacks, supports)."""
+    return dict(g.tau), sorted(g.att), sorted(g.supp)
+
+
+class TestReference:
+    """validate, analyze and curve agree with the benchmark's independent reference."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [chains(), shared_chains(), weak_expansion_chains(), evolving_chains()],
+        ids=["chains", "shared", "weak", "evolving"],
+    )
+    @given(data=st.data())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_outputs_match_the_reference(self, runner, tmp_path, strategy, data):
+        chain = data.draw(strategy)
+        common = sorted(common_arguments(chain))
+        assume(common)
+        topics = sorted(data.draw(st.sets(st.sampled_from(common), min_size=1)))
+        threshold = data.draw(thresholds)
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_chain(chain), encoding="utf-8")
+        graphs = [_plain(g) for g in chain]
+        result = REFERENCE.analysis([REFERENCE.strengths(g) for g in graphs], topics, threshold)
+        query = ["--topics", ",".join(topics), "--threshold", repr(threshold)]
+
+        validate = runner.invoke(main, ["validate", str(path)])
+        assert validate.exit_code == 0
+        truth = REFERENCE.classify(graphs)
+        assert REFERENCE.check_validate(validate.stdout_bytes, len(chain), truth) == []
+        analyze = runner.invoke(main, ["analyze", str(path), *query, "--format", "structured"])
+        assert analyze.exit_code == 0
+        assert REFERENCE.check_analyze_structured(analyze.stdout_bytes, result) == []
+        curve = runner.invoke(main, ["curve", str(path), *query])
+        assert curve.exit_code == 0
+        assert REFERENCE.check_bytes("curve", curve.stdout_bytes, REFERENCE.curve_csv(result)) == []
+
+
+# flag values at and past the edges of what each option accepts
+_NUMBERS = ["0.5", "1", "-0.0", "5e-324", "nan", "inf"]
+_TOPICS = ["a", "a,b", "a,a", "zz", "a,zz", "", ","]
+_STEPS = [0, 1, MAX_SWEEP_STEPS, MAX_SWEEP_STEPS + 1]
+_CANONICAL = st.one_of(
+    weak_expansion_chains().map(serialize_chain),
+    weak_expansion_chains().map(serialize_chain),
+    weak_expansion_chains().map(lambda c: serialize_qbag(c.steps[-1])),
+)
+_FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=96),
+    near_documents().map(str.encode),
+    mutated_documents(_CANONICAL).map(str.encode),
+    mutated_documents(_CANONICAL).map(str.encode),
+)
+
+
+class TestEverySubcommandFuzz:
+    """Every subcommand exits 0, or exits 2 with exactly one line on stderr."""
+
+    @staticmethod
+    def _check(result):
+        assert result.exit_code in (0, 2), result.exception
+        if result.exit_code == 2:
+            assert len(result.stderr.splitlines()) == 1, result.stderr
+
+    @given(data=_FUZZ_INPUTS, flags=st.data())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_input_and_flags(self, runner, tmp_path, monkeypatch, data, flags):
+        # a grid of the full length would allocate up to a million points
+        monkeypatch.setattr(cli, "_grid", lambda start, stop, steps: [start, stop][:steps])
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        doc = str(path)
+        topics = flags.draw(st.sampled_from(_TOPICS))
+        threshold = flags.draw(st.sampled_from(_NUMBERS))
+        query = ["--topics", topics, "--threshold", threshold]
+        self._check(runner.invoke(main, ["eval", doc]))
+        for checks in ("safety", "liveness", "fairness", "all"):
+            for fmt in ("text", "structured", "csv"):
+                options = ["--checks", checks, "--format", fmt]
+                self._check(runner.invoke(main, ["analyze", doc, *query, *options]))
+        self._check(runner.invoke(main, ["curve", doc, *query]))
+        sweep = [
+            "sweep", doc,
+            "--argument", flags.draw(st.sampled_from(["a", "e", "zz"])),
+            "--from", flags.draw(st.sampled_from(_NUMBERS)),
+            "--to", flags.draw(st.sampled_from(_NUMBERS)),
+            "--steps", str(flags.draw(st.sampled_from(_STEPS))),
+        ]
+        for extra in ([], ["--csv"], ["--out", str(tmp_path / "out.json")]):
+            self._check(runner.invoke(main, [*sweep, *extra]))
+
+
+class TestValidateWork:
+    def test_steps_sharing_a_structure_are_sorted_once(self, runner, tmp_path, monkeypatch):
+        # the verdict of a step that shares its structure by identity is reused
+        path = tmp_path / "sweep.json"
+        path.write_text(
+            serialize_chain(sweep_chain(sweep_base(), "f", [i / 9 for i in range(10)])),
+            encoding="utf-8",
+        )
+        calls = []
+        original = qbag.chain._ordered
+
+        def counting(args, adj):
+            calls.append(len(args))
+            return original(args, adj)
+
+        monkeypatch.setattr(qbag.chain, "_ordered", counting)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 0
+        assert result.stdout.count(": acyclic") == 10
+        assert calls == [len(sweep_base().args)]

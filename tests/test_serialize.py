@@ -12,6 +12,7 @@ from qbag import (
     DocumentError,
     DuplicateArgument,
     EmptyChain,
+    InvalidArgumentId,
     QbagError,
     RelationOverlap,
     SLFQuery,
@@ -31,16 +32,20 @@ from qbag import (
 )
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base
-from .oracles import canonical_json, chain_document, qbag_document
+from .oracles import canonical_json, chain_document, parse_chain_oracle, qbag_document
 from .strategies import (
     acyclic_qbags,
     arbitrary_qbags,
     chains,
+    closing_chains,
+    evolving_chains,
     exotic_qbags,
     json_values,
+    mutated_documents,
     near_documents,
     shared_chains,
     strengths,
+    weak_expansion_chains,
 )
 
 ERROR_CORPUS = json.loads(
@@ -201,6 +206,129 @@ class TestParseChain:
         data["steps"][1]["arguments"][0]["initial"] = 2.0
         with pytest.raises(StrengthOutOfRange, match=r"steps\[1\].arguments\[0\]"):
             parse_chain(json.dumps(data))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except QbagError as exc:
+        return type(exc), str(exc)
+
+
+def _sharing(text):
+    """Whether each step shares its frozensets with the step before.
+
+    A step shares them when its ids and its raw attack and support lists
+    are == to the previous step's.
+    """
+    steps = json.loads(text)["steps"]
+    keys = [
+        ([a["id"] for a in step["arguments"]], step["attacks"], step["supports"])
+        for step in steps
+    ]
+    return [a == b for a, b in zip(keys, keys[1:])]
+
+
+def _assert_parse_parity(text):
+    """parse_chain agrees with the full per-step parse: value, sharing, or error."""
+    expected = _outcome(parse_chain_oracle, text)
+    found = _outcome(parse_chain, text)
+    assert found == expected
+    if isinstance(expected, tuple):  # both raised
+        return
+    assert serialize_chain(found) == serialize_chain(expected)  # floats stay floats
+    shared = [
+        (g.args is f.args, g.att is f.att, g.supp is f.supp)
+        for f, g in zip(found.steps, found.steps[1:])
+    ]
+    assert shared == [(same,) * 3 for same in _sharing(text)]
+
+
+def _corpus_texts(case):
+    """The corpus text, and a qbag document's payload as a chain step.
+
+    The payload is also put after an empty step, which every step
+    contains, so its errors are met on the extension path.
+    """
+    yield case["text"]
+    try:
+        doc = json.loads(case["text"])
+    except (ValueError, RecursionError):
+        return
+    if isinstance(doc, dict) and doc.get("kind") == "qbag" and doc.get("format_version") == "1":
+        payload = {k: v for k, v in doc.items() if k not in ("format_version", "kind")}
+        empty = {"arguments": [], "attacks": [], "supports": []}
+        for steps in ([payload], [empty, payload]):
+            yield json.dumps({"format_version": "1", "kind": "chain", "steps": steps})
+
+
+class TestParseParity:
+    """Steps that extend their predecessor are checked only where they grow."""
+
+    @given(
+        mutated_documents(
+            st.one_of(
+                weak_expansion_chains(), evolving_chains(), shared_chains(), closing_chains()
+            ).map(serialize_chain)
+        )
+    )
+    @settings(max_examples=300)
+    def test_mutated_canonical_documents(self, text):
+        _assert_parse_parity(text)
+
+    @pytest.mark.parametrize("case", ERROR_CORPUS, ids=[case["name"] for case in ERROR_CORPUS])
+    def test_error_corpus(self, case):
+        for text in _corpus_texts(case):
+            _assert_parse_parity(text)
+
+    def test_string_pair_is_not_a_pair(self):
+        # tuple("ab") == ("a", "b"): the shape of every pair is checked,
+        # also in a step that extends the previous one
+        data = json.loads(serialize_chain(dialogue()))
+        data["steps"][2]["attacks"][0] = "da"
+        with pytest.raises(
+            DocumentError, match=r"^steps\[2\]\.attacks\[0\]: expected a \[source, target\] pair"
+        ):
+            parse_chain(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        ("step", "edit", "error", "message"),
+        [
+            (1, lambda s: s["arguments"].append({"id": "a", "initial": 0.1}), DuplicateArgument,
+             "steps[1]: argument 'a' declared twice"),
+            (1, lambda s: s["arguments"].append({"id": "x y", "initial": 0.1}), InvalidArgumentId,
+             "steps[1]: argument id 'x y' contains whitespace or a comma"),
+            (1, lambda s: s["supports"].append(["d", "z"]), DanglingEndpoint,
+             "steps[1]: supports pair ('d', 'z') references undeclared argument 'z'"),
+            (1, lambda s: s["supports"].append(["d", "a"]), RelationOverlap,
+             "steps[1]: pairs in both attacks and supports: [('d', 'a')]"),
+            # d attacks a since step 1; the support is new
+            (2, lambda s: s["supports"].append(["d", "a"]), RelationOverlap,
+             "steps[2]: pairs in both attacks and supports: [('d', 'a')]"),
+        ],
+        ids=["old-id-again", "bad-new-id", "dangling-new-pair", "new-overlap", "old-overlap"],
+    )
+    def test_extension_errors_keep_their_wording(self, step, edit, error, message):
+        data = json.loads(serialize_chain(dialogue()))
+        edit(data["steps"][step])
+        with pytest.raises(error) as info:
+            parse_chain(json.dumps(data))
+        assert str(info.value) == message
+
+    def test_integer_strengths_become_floats_in_extension_steps(self):
+        data = json.loads(serialize_chain(dialogue()))
+        data["steps"][1]["arguments"][3]["initial"] = 1
+        data["steps"][2]["arguments"][4]["initial"] = 0
+        c = parse_chain(json.dumps(data))
+        assert [type(v) for g in c for v in g.tau.values()] == [float] * 12
+        assert c == parse_chain_oracle(json.dumps(data))
+
+    def test_extension_reuses_the_previous_pair_tuples(self):
+        c = parse_chain(serialize_chain(dialogue()))
+        for g, h in zip(c.steps, c.steps[1:]):
+            assert g.att is not h.att and g.att <= h.att
+            kept = {p: p for p in h.att | h.supp}
+            assert all(kept[p] is p for p in g.att | g.supp)
 
 
 class TestRoundTrip:
