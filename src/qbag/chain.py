@@ -14,7 +14,7 @@ from itertools import pairwise
 from math import copysign
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import CyclicGraph, EmptyChain, TopicNotInChain, UnknownArgument
+from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain, UnknownArgument
 from .graph import (
     QBAG,
     Edge,
@@ -215,6 +215,8 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
     strength changed (0.0 and -0.0 count as different), and targets of
     new edges.  DF-QuAD is modular, so every other argument keeps its
     previous strength exactly.  Any other step is evaluated in full.
+    StrengthOutOfRange names the argument that ``evaluate`` would name
+    for the first step that fails.
     """
     rows: list[StrengthAssignment] = []
     prev: QBAG | None = None
@@ -230,7 +232,16 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
             else:
                 sigma = dict.fromkeys(sorted(g.args)) | last
         todo = _step_order(g, cone, index.successors, i)
-        rows.append(StrengthAssignment(values=_propagate(g, sem, index, todo, sigma)))
+        try:
+            values = _propagate(g, sem, index, todo, sigma)
+        except StrengthOutOfRange:
+            if changed is not None:
+                # the cone's order is not a slice of the step's: evaluating
+                # the whole step names the argument evaluate(g, sem) would
+                order = _ordered(g.args, index.successors)
+                _propagate(g, sem, index, order, dict.fromkeys(sorted(g.args)))
+            raise
+        rows.append(StrengthAssignment(values=values))
         prev = g
     return StrengthMatrix(rows=tuple(rows))
 

@@ -17,13 +17,20 @@ of json.dumps(doc, indent=2) plus a newline, with keys in a fixed order,
 arguments and edges sorted, strings ASCII-escaped and numbers in their
 shortest round-trip form, so equal values always serialize to identical
 bytes.  parse(serialize(v)) returns a structurally equal value.
+
+A chain document in that canonical layout is decoded block by block:
+the envelope and key lines are matched as text, each step's values are
+decoded on their own, and a relation block that repeats the previous
+step's text is not decoded again.  Any other valid JSON, and any document
+with an error, goes through json.loads of the whole text; it parses to
+the same value or raises the same error.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
@@ -142,6 +149,7 @@ def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _
         and raw_supp == previous.supports
     ):
         g = previous.graph
+        ids = previous.ids  # every step keys its strengths by the same id strings
         tau = dict(zip(ids, map(float, values)))
         return _Step(ids, raw_att, raw_supp, QBAG(g.args, tau, g.att, g.supp))
     attacks = _parse_edges(raw_att, f"{path}attacks")
@@ -174,22 +182,94 @@ def parse_chain(text: str) -> Chain:
     that extends the previous one costs what it adds: only its new ids
     and pairs are checked, and its relations reuse the previous step's
     pair tuples.
+
+    A document in the canonical layout is decoded step by step, each
+    distinct relation block once.  Any other document, and any document
+    with an error, is parsed whole by ``json.loads``; that path gives the
+    same value, and reports the first error in the documented precedence.
     """
+    try:
+        return _build_chain(_canonical_steps(text))
+    except Exception:  # off the layout or invalid: the general path decides
+        pass
     data = _load_document(text, "chain")
     steps = data.get("steps")
     if type(steps) is not list:
         raise DocumentError("steps: expected a list")
     if not steps:
         raise EmptyChain("chain document has zero steps")
+    return _build_chain(steps)
+
+
+def _build_chain(payloads: Iterable[object]) -> Chain:
     qbags = []
     step = None
-    for i, payload in enumerate(steps):
+    for i, payload in enumerate(payloads):
         if type(payload) is not dict:
             raise DocumentError(f"steps[{i}]: expected an object")
         _reject_unknown_keys(payload, _STEP_KEYS, f"steps[{i}]: unknown keys")
         step = _parse_payload(payload, f"steps[{i}].", step)
         qbags.append(step.graph)
     return build_chain(qbags)
+
+
+# The text around the values of a canonical chain document; serialize_chain
+# writes the envelope and step separators from the same constants.
+_CHAIN_OPEN = '{\n  "format_version": "1",\n  "kind": "chain",\n  "steps": [\n'
+_STEP_OPEN = '    {\n      "arguments": '
+_ATTACKS_KEY = ',\n      "attacks": '
+_SUPPORTS_KEY = ',\n      "supports": '
+_STEP_CLOSE = "\n    }"
+_STEP_SEPARATOR = ",\n"
+_CHAIN_CLOSE = "\n  ]\n}\n"
+_decode = json.JSONDecoder().raw_decode
+
+
+class _OffLayout(Exception):
+    """The text leaves the canonical layout of a chain document."""
+
+
+def _skip(text: str, pos: int, literal: str) -> int:
+    if not text.startswith(literal, pos):
+        raise _OffLayout(pos)
+    return pos + len(literal)
+
+
+def _relation_at(text: str, pos: int, last: tuple) -> tuple[tuple, int]:
+    """The (value, text) of the relation block at pos, and the position after it.
+
+    A block whose text repeats the last one's is not decoded again, so
+    both steps get the same list object.
+    """
+    block = last[1]
+    if block is not None and text.startswith(block, pos):
+        return last, pos + len(block)
+    value, end = _decode(text, pos)
+    return (value, text[pos:end]), end
+
+
+def _canonical_steps(text: str) -> Iterator[dict]:
+    """The step payloads of a chain document in the canonical layout.
+
+    The envelope and the key lines are matched as literal text and only
+    the values between them are decoded, one step at a time, so the whole
+    document is never held as one tree.  Raises _OffLayout at the first
+    byte outside the layout; a JSON value in a step is decoded as
+    ``json.loads`` would decode it, whatever its own layout.
+    """
+    pos = _skip(text, 0, _CHAIN_OPEN)
+    att = supp = (None, None)  # (value, text) of the last block read
+    while True:
+        arguments, pos = _decode(text, _skip(text, pos, _STEP_OPEN))
+        att, pos = _relation_at(text, _skip(text, pos, _ATTACKS_KEY), att)
+        supp, pos = _relation_at(text, _skip(text, pos, _SUPPORTS_KEY), supp)
+        pos = _skip(text, pos, _STEP_CLOSE)
+        yield {"arguments": arguments, "attacks": att[0], "supports": supp[0]}
+        if not text.startswith(_STEP_SEPARATOR, pos):
+            break
+        pos += len(_STEP_SEPARATOR)
+    if _skip(text, pos, _CHAIN_CLOSE) != len(text):
+        raise _OffLayout(pos)
 
 
 # -- serialization ---------------------------------------------------------
@@ -229,23 +309,34 @@ def _relation(relation: frozenset[Edge], pad: str, rendered: dict) -> str:
     return text
 
 
-def _payload(g: QBAG, pad: str, rendered: dict) -> str:
-    """The arguments/attacks/supports keys of one graph, indented by pad.
+def _payload(g: QBAG, pad: str, rendered: dict, parts: list[str]) -> None:
+    """Append the arguments/attacks/supports keys of one graph, indented by pad.
 
     ``rendered`` maps each relation already written in this call to its
-    text, so the steps of a sweep render their shared edges once.
+    text, and each argument id to the text before its strength, so the
+    steps of a sweep render their shared edges and ids once.
     """
-    head = f'{pad}  {{\n{pad}    "id": '
-    middle = f',\n{pad}    "initial": '
-    tail = f"\n{pad}  }}"
-    tau = g.tau
-    arguments = _block(
-        [head + _string(x) + middle + _number(tau[x]) + tail for x in sorted(g.args)], pad
-    )
-    return (
-        f'{pad}"arguments": {arguments},\n'
-        f'{pad}"attacks": {_relation(g.att, pad, rendered)},\n'
-        f'{pad}"supports": {_relation(g.supp, pad, rendered)}'
+    parts.append(f'{pad}"arguments": ')
+    args = sorted(g.args)
+    if args:
+        head = f'{pad}  {{\n{pad}    "id": '
+        middle = f',\n{pad}    "initial": '
+        separator = f"\n{pad}  }},\n"
+        tau = g.tau
+        parts.append("[\n")
+        for x in args:
+            lead = rendered.get(x)
+            if lead is None:
+                lead = rendered[x] = head + _string(x) + middle
+            parts += (lead, _number(tau[x]), separator)
+        parts[-1] = f"\n{pad}  }}\n{pad}]"
+    else:
+        parts.append("[]")
+    parts += (
+        f',\n{pad}"attacks": ',
+        _relation(g.att, pad, rendered),
+        f',\n{pad}"supports": ',
+        _relation(g.supp, pad, rendered),
     )
 
 
@@ -254,13 +345,22 @@ def _envelope(kind: str) -> str:
 
 
 def serialize_qbag(g: QBAG) -> str:
-    return _envelope("qbag") + _payload(g, "  ", {}) + "\n}\n"
+    parts = [_envelope("qbag")]
+    _payload(g, "  ", {}, parts)
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def serialize_chain(c: Chain) -> str:
-    rendered: dict[frozenset[Edge], str] = {}
-    steps = [f"    {{\n{_payload(g, '      ', rendered)}\n    }}" for g in c.steps]
-    return _envelope("chain") + f'  "steps": {_block(steps, "  ")}\n}}\n'
+    """The chain document, built as one list of parts and joined once."""
+    rendered: dict = {}
+    parts = [_CHAIN_OPEN]
+    for g in c.steps:
+        parts.append("    {\n")
+        _payload(g, "      ", rendered, parts)
+        parts += (_STEP_CLOSE, _STEP_SEPARATOR)
+    parts[-1] = _CHAIN_CLOSE  # a chain has at least one step
+    return "".join(parts)
 
 
 # -- CSV export ------------------------------------------------------------

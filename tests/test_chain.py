@@ -330,6 +330,19 @@ class TestIncrementalEvaluation:
         assert str(info.value) == str(expected.value)
         assert "for 'b'" in str(info.value)
 
+    def test_range_error_names_the_first_argument_of_the_whole_step(self):
+        # the new edges overshoot d (2.0) and e (-1.0); the cone of the new
+        # edges orders e before d, the whole step d before e
+        tau = [("a", 0.0), ("b", 0.0), ("d", 1.0), ("e", 0.0), ("h", 1.0)]
+        g = build_qbag(tau)
+        h = build_qbag(tau, attacks=[("h", "e")], supports=[("b", "e"), ("h", "a"), ("h", "d")])
+        with pytest.raises(StrengthOutOfRange) as expected:
+            evaluate(h, UNBOUNDED)
+        with pytest.raises(StrengthOutOfRange) as info:
+            evaluate_chain(build_chain([g, h]), UNBOUNDED)
+        assert str(info.value) == str(expected.value)
+        assert "for 'd'" in str(info.value)
+
     def test_signed_zero_change_is_recomputed(self):
         g = build_qbag([("a", 0.0), ("b", 0.5)], supports=[("a", "b")])
         chain = sweep_chain(g, "a", [0.0, -0.0, 0.0])

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,9 @@ from qbag import (
     sweep_chain,
 )
 
-from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base
+from qbag.serialize import _canonical_steps
+
+from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
 from .oracles import canonical_json, chain_document, parse_chain_oracle, qbag_document
 from .strategies import (
     acyclic_qbags,
@@ -329,6 +332,93 @@ class TestParseParity:
             assert g.att is not h.att and g.att <= h.att
             kept = {p: p for p in h.att | h.supp}
             assert all(kept[p] is p for p in g.att | g.supp)
+
+
+class _GeneralPath(Exception):
+    """Raised by a patched json.loads: the whole document was decoded at once."""
+
+
+def _assert_decoded_block_by_block(text):
+    """parse_chain agrees with the full per-step parse without calling json.loads."""
+    _assert_parse_parity(text)
+    expected = parse_chain_oracle(text)
+    with mock.patch.object(json, "loads", side_effect=_GeneralPath):
+        assert parse_chain(text) == expected
+
+
+def _replace_nth(text, old, new, n):
+    """text with the n-th occurrence (from 0) of old replaced by new."""
+    parts = text.split(old)
+    return old.join(parts[: n + 1]) + new + old.join(parts[n + 1 :])
+
+
+def _with_dangling_pair(step):
+    data = json.loads(serialize_chain(dialogue()))
+    data["steps"][step]["supports"].append(["c", "z"])
+    return canonical_json(data)
+
+
+DIALOGUE = serialize_chain(dialogue())
+OFF_LAYOUT = {
+    "trailing-blank-line": DIALOGUE + "\n",
+    "trailing-bytes": DIALOGUE + "x",
+    "crlf": DIALOGUE.replace("\n", "\r\n"),
+    "bom": "\ufeff" + DIALOGUE,
+    "version-number": DIALOGUE.replace('"format_version": "1"', '"format_version": 1'),
+    "version-escaped": DIALOGUE.replace('"format_version": "1"', '"format_version": "\\u0031"'),
+    "key-escaped": DIALOGUE.replace('"attacks"', '"\\u0061ttacks"', 1),
+    "key-misspelled": DIALOGUE.replace('"supports"', '"supportz"', 1),
+    "step-separator": DIALOGUE.replace("\n    },\n", "\n    };\n", 1),
+    "zero-steps": canonical_json({"format_version": "1", "kind": "chain", "steps": []}),
+    # JSON keeps the last of two equal keys: steps[1] gets no attacks
+    "duplicate-attacks": _replace_nth(
+        DIALOGUE, ',\n      "supports": ', ',\n      "attacks": [],\n      "supports": ', 1
+    ),
+    # the first error in the document is the syntax error at its end
+    "dangling-in-truncated-0": _with_dangling_pair(0)[:-4],
+    "dangling-in-truncated-1": _with_dangling_pair(1)[:-4],
+}
+
+
+class TestCanonicalDecoder:
+    """A canonical chain document is decoded one step block at a time."""
+
+    @given(st.one_of(chains(), shared_chains(), weak_expansion_chains(), evolving_chains()))
+    @settings(max_examples=200)
+    def test_canonical_documents_skip_json_loads(self, c):
+        _assert_decoded_block_by_block(serialize_chain(c))
+
+    def test_block_that_extends_the_previous_block(self):
+        # steps[1]'s attacks and supports are steps[0]'s plus one more pair
+        c = build_chain([
+            build_qbag([("a", 0.5), ("b", 0.5), ("c", 0.5)], [("a", "b")], [("a", "c")]),
+            build_qbag([("a", 0.5), ("b", 0.5), ("c", 0.5)], [("a", "b"), ("b", "c")],
+                       [("a", "c"), ("c", "b")]),
+        ])
+        text = serialize_chain(c)
+        _assert_decoded_block_by_block(text)
+        assert parse_chain(text) == c
+
+    def test_repeated_blocks_arrive_as_one_list(self):
+        payloads = list(_canonical_steps(serialize_chain(sweep_dialogue())))
+        for first, later in zip(payloads, payloads[1:]):
+            assert later["attacks"] is first["attacks"]
+            assert later["supports"] is first["supports"]
+            assert later["arguments"] is not first["arguments"]
+
+    @pytest.mark.parametrize("text", OFF_LAYOUT.values(), ids=OFF_LAYOUT.keys())
+    def test_off_layout_documents_take_the_general_path(self, text):
+        _assert_parse_parity(text)
+        with mock.patch.object(json, "loads", side_effect=_GeneralPath):
+            with pytest.raises(_GeneralPath):
+                parse_chain(text)
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_syntax_error_wins_over_an_earlier_step_error(self, step):
+        with pytest.raises(DanglingEndpoint):
+            parse_chain(_with_dangling_pair(step))
+        with pytest.raises(DocumentError, match=r"^syntax error at line"):
+            parse_chain(_with_dangling_pair(step)[:-4])
 
 
 class TestRoundTrip:
