@@ -12,19 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import copysign
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain, UnknownArgument
-from .graph import (
-    QBAG,
-    Edge,
-    _extend_index,
-    _Index,
-    _index,
-    _ordered,
-    is_sub_qbag,
-    validate_strength,
-)
+from .graph import QBAG, Edge, _added, _extend_index, _Index, _ordered, validate_strength
 from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate
 
 
@@ -89,20 +80,14 @@ def build_chain(qbags: Sequence[QBAG]) -> Chain:
 
 def is_expansion_chain(c: Chain) -> bool:
     """Each step is a strict sub-graph of its successor."""
-    return all(is_sub_qbag(g, h) and g != h for g, h in pairwise(c.steps))
-
-
-def _new_edges(g: QBAG, h: QBAG) -> frozenset[Edge]:
-    """The edges of h that g lacks, for an h that contains g."""
-    return (h.att - g.att) | (h.supp - g.supp)
+    return _growth(c) is not None
 
 
 def is_normal_expansion_chain(c: Chain) -> bool:
     """Expansion chain where every new relation touches a new argument."""
-    if not is_expansion_chain(c):
-        return False
-    return not any(
-        s in g.args and t in g.args for g, h in pairwise(c.steps) for s, t in _new_edges(g, h)
+    growth = _growth(c)
+    return growth is not None and not any(
+        s in old and t in old for old, new_edges in growth for s, t in new_edges
     )
 
 
@@ -113,13 +98,27 @@ def is_weak_expansion_chain(c: Chain) -> bool:
     argument to an old one where it first enters the old arguments.  That
     edge is new, so a pass over each step's new edges decides reachability.
     """
-    if not is_expansion_chain(c):
-        return False
-    return not any(
-        s not in g.args and t in g.args
-        for g, h in pairwise(c.steps)
-        for s, t in _new_edges(g, h)
+    growth = _growth(c)
+    return growth is not None and not any(
+        s not in old and t in old for old, new_edges in growth for s, t in new_edges
     )
+
+
+def _growth(c: Chain) -> list[tuple[frozenset[str], frozenset[Edge]]] | None:
+    """Each step's arguments with the edges its successor adds.
+
+    None unless each step is a strict sub-graph of its successor.  Initial
+    strengths are compared by value here, so 0.0 and -0.0 agree.  A step
+    that adds nothing to the structure and keeps every strength equals its
+    predecessor, so it is not strict.
+    """
+    growth = []
+    for g, h in pairwise(c.steps):
+        added = _added(g, h.args, h.att, h.supp)
+        if added is None or not any(added) or not g.tau.items() <= h.tau.items():
+            return None
+        growth.append((g.args, added[1] | added[2]))
+    return growth
 
 
 def common_arguments(c: Chain) -> set[str]:
@@ -149,56 +148,45 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
     return Chain(steps=tuple(steps))
 
 
-def _plans(c: Chain) -> Iterator[tuple[QBAG, _Index, set[str] | None]]:
-    """Each step with its adjacency index and the arguments its structure changed.
+# the step a rebuilt step extends
+_EMPTY = QBAG(args=frozenset(), tau={}, att=frozenset(), supp=frozenset())
 
-    One index serves the whole chain.  While a step contains the previous
-    one (every argument and edge of it), the index is extended in place,
-    and the step comes with the arguments whose in-edges changed: an
-    empty set when the structure is the same.  Any other step gets a
-    fresh index and None.
+
+def _plans(c: Chain) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
+    """Each step with the step it extends, its index, and the arguments it changed.
+
+    Every step extends a graph it contains.  A step that keeps every
+    argument and edge of the previous one extends the previous step, and
+    the index is extended in place.  Any other step extends the empty
+    graph ``_EMPTY`` from a fresh index.  The changed arguments are those
+    whose in-edges changed: all of a rebuilt step's, none of a step that
+    shares its predecessor's structure.
     """
-    prev: QBAG | None = None
+    prev, index = _EMPTY, _Index({}, {}, {})
     for g in c.steps:
-        if prev is not None and g.args is prev.args and g.att is prev.att and g.supp is prev.supp:
-            changed: set[str] | None = set()
-        elif (
-            prev is not None
-            and prev.args <= g.args
-            and prev.att <= g.att
-            and prev.supp <= g.supp
-        ):
-            changed = _extend_index(index, prev, g)
-        else:
-            index, changed = _index(g), None
-        yield g, index, changed
+        added = _added(prev, g.args, g.att, g.supp)
+        if added is None:
+            prev, index = _EMPTY, _Index({}, {}, {})
+            added = g.args, g.att, g.supp
+        yield g, prev, index, _extend_index(index, *added)
         prev = g
-
-
-def _is_dag(args: Collection[str], successors: dict[str, list[str]]) -> bool:
-    """Whether the arguments, closed under successors, hold no cycle."""
-    try:
-        _ordered(args, successors)
-    except CyclicGraph:
-        return False
-    return True
 
 
 def _acyclic_steps(c: Chain) -> list[bool]:
     """``[is_acyclic(g) for g in c]``, checking each step only where it changed.
 
-    A step that contains an acyclic predecessor can only close a cycle
-    through a new edge, so only the downstream cone of the arguments
-    whose in-edges changed is checked.  A step that contains a cyclic
-    one keeps its cycle.
+    A step can only close a cycle through an argument whose in-edges it
+    changed, so only their downstream cone is checked.  The empty graph is
+    acyclic, and a step that extends a cyclic one keeps its cycle.
     """
     verdicts: list[bool] = []
-    acyclic = True
-    for g, index, changed in _plans(c):
-        if changed is None:
-            acyclic = _is_dag(g.args, index.successors)
-        elif changed and acyclic:
-            acyclic = _is_dag(_downstream(index.successors, changed), index.successors)
+    for _, base, index, changed in _plans(c):
+        acyclic = base is _EMPTY or verdicts[-1]
+        if acyclic and changed:
+            try:
+                _ordered(_downstream(index.successors, changed), index.successors)
+            except CyclicGraph:
+                acyclic = False
         verdicts.append(acyclic)
     return verdicts
 
@@ -207,61 +195,39 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
     """Evaluate every step; raises CyclicGraph naming the offending step.
 
     Each row is == to ``evaluate(step, sem)`` and, like it, keyed by
-    ascending argument id, but a step is not always evaluated from
-    scratch.  While a step contains the previous one (every argument and
-    edge of the previous step is still there), the adjacency index is
-    extended in place, and only the downstream cone of what changed is
-    ordered and recomputed: new arguments, arguments whose initial
-    strength changed (0.0 and -0.0 count as different), and targets of
-    new edges.  DF-QuAD is modular, so every other argument keeps its
-    previous strength exactly.  Any other step is evaluated in full.
-    StrengthOutOfRange names the argument that ``evaluate`` would name
-    for the first step that fails.
+    ascending argument id.  Every step extends a step it contains (see
+    :func:`_plans`): the previous step while every argument and edge of
+    it is still there, and the empty graph otherwise.  Only the
+    downstream cone of what changed is ordered and recomputed: new
+    arguments, arguments whose initial strength changed (0.0 and -0.0
+    count as different), and targets of new edges.  DF-QuAD is modular,
+    so every other argument keeps its previous strength exactly.  A
+    rebuilt step changes all of its arguments and is evaluated in full.
+    CyclicGraph and StrengthOutOfRange are worded as ``evaluate`` words
+    them for the first step that fails.
     """
     rows: list[StrengthAssignment] = []
-    prev: QBAG | None = None
-    for i, (g, index, changed) in enumerate(_plans(c), start=1):
-        if changed is None:
-            cone, sigma = g.args, dict.fromkeys(sorted(g.args))
+    for i, (g, base, index, changed) in enumerate(_plans(c), start=1):
+        cone = _downstream(index.successors, changed | _retuned(base, g))
+        last = rows[-1].values if base is not _EMPTY else {}
+        # a copy keeps the ascending key order; new arguments need a merge
+        if len(last) == len(g.args):
+            sigma = dict(last)
         else:
-            cone = _downstream(index.successors, changed | _retuned(prev, g))
-            last = rows[-1].values
-            # a copy keeps the ascending key order; new arguments need a merge
-            if len(last) == len(g.args):
-                sigma = dict(last)
-            else:
-                sigma = dict.fromkeys(sorted(g.args)) | last
-        todo = _step_order(g, cone, index.successors, i)
+            sigma = dict.fromkeys(sorted(g.args)) | last
         try:
-            values = _propagate(g, sem, index, todo, sigma)
-        except StrengthOutOfRange:
-            if changed is not None:
-                # the cone's order is not a slice of the step's: evaluating
-                # the whole step names the argument evaluate(g, sem) would
+            values = _propagate(g, sem, index, _ordered(cone, index.successors), sigma)
+        except (CyclicGraph, StrengthOutOfRange):
+            # the cone's order is not a slice of the step's: evaluating the
+            # whole step words the error as evaluate(g, sem) would
+            try:
                 order = _ordered(g.args, index.successors)
-                _propagate(g, sem, index, order, dict.fromkeys(sorted(g.args)))
+            except CyclicGraph as exc:
+                raise CyclicGraph(f"step {i}: {exc}") from None
+            _propagate(g, sem, index, order, dict.fromkeys(sorted(g.args)))
             raise
         rows.append(StrengthAssignment(values=values))
-        prev = g
     return StrengthMatrix(rows=tuple(rows))
-
-
-def _step_order(
-    g: QBAG, cone: Collection[str], successors: dict[str, list[str]], i: int
-) -> list[str]:
-    """The cone of step i in topological order.
-
-    A cycle is reported as a sort of the whole step words it, so the
-    message does not depend on which cone was ordered.
-    """
-    try:
-        return _ordered(cone, successors)
-    except CyclicGraph:
-        pass
-    try:
-        return _ordered(g.args, successors)
-    except CyclicGraph as exc:
-        raise CyclicGraph(f"step {i}: {exc}") from None
 
 
 def _retuned(prev: QBAG, g: QBAG) -> set[str]:
@@ -278,6 +244,8 @@ def _retuned(prev: QBAG, g: QBAG) -> set[str]:
 
 def _downstream(successors: dict[str, list[str]], seeds: set[str]) -> set[str]:
     """The seeds plus every argument they reach."""
+    if len(seeds) == len(successors):  # every indexed argument already
+        return seeds
     cone = set(seeds)
     stack = list(seeds)
     while stack:

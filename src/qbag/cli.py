@@ -48,6 +48,8 @@ from .serialize import (
 
 # a sweep chain is built whole in memory, so the grid is capped
 MAX_SWEEP_STEPS = 1_000_000
+# sweep --out encodes the document a slice at a time, never into a whole second copy
+_WRITE_SLICE = 1 << 20
 
 
 def _fail(message: str) -> None:
@@ -238,7 +240,9 @@ def sweep(
         click.echo(document, nl=False)
     else:
         try:
-            Path(out_path).write_text(document, encoding="utf-8")
+            with open(out_path, "w", encoding="utf-8") as out:
+                for start in range(0, len(document), _WRITE_SLICE):
+                    out.write(document[start : start + _WRITE_SLICE])
         except OSError as exc:
             _fail(f"cannot write {out_path}: {exc}")
         click.echo(f"wrote {out_path}")

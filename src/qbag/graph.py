@@ -142,18 +142,16 @@ def _extend_qbag(
         declared = frozenset(ids)
     except TypeError:  # an unhashable id
         return None
-    new_args = declared - prev.args
-    if len(declared) != len(ids) or not _adds_to(prev.args, declared, new_args):
+    att, supp = frozenset(attacks), frozenset(supports)
+    added = _added(prev, declared, att, supp)
+    if added is None or len(declared) != len(ids):
         return None
+    new_args, new_att, new_supp = added
     for arg in new_args:
         if not isinstance(arg, str) or not arg or _FORBIDDEN_IN_ID.search(arg):
             return None
-    att, supp = frozenset(attacks), frozenset(supports)
-    new_att, new_supp = att - prev.att, supp - prev.supp
     if not (
-        _adds_to(prev.att, att, new_att)
-        and _adds_to(prev.supp, supp, new_supp)
-        and declared.issuperset(chain.from_iterable(new_att))
+        declared.issuperset(chain.from_iterable(new_att))
         and declared.issuperset(chain.from_iterable(new_supp))
         and new_att.isdisjoint(supp)
         and new_supp.isdisjoint(att)
@@ -167,9 +165,31 @@ def _extend_qbag(
     )
 
 
-def _adds_to(old: frozenset, given: frozenset, added: frozenset) -> bool:
-    """Whether given contains old, where added is ``given - old``."""
-    return len(given) - len(added) == len(old)
+def _added(
+    prev: QBAG, args: frozenset[str], att: frozenset[Edge], supp: frozenset[Edge]
+) -> tuple[frozenset[str], frozenset[Edge], frozenset[Edge]] | None:
+    """The arguments, attacks and supports a step adds to prev.
+
+    None when the step drops an argument or an edge of prev's.  This is
+    the one place that compares a step's structure with its predecessor's.
+    A step that shares prev's sets adds nothing.  A rewired step seldom
+    keeps an arbitrary edge of prev's, so one probe per relation rejects
+    most of them before any difference is taken; otherwise the sizes of
+    the differences decide containment, in one pass over each set.
+    """
+    if args is prev.args and att is prev.att and supp is prev.supp:
+        return frozenset(), frozenset(), frozenset()
+    for old, given in ((prev.att, att), (prev.supp, supp)):
+        if old and next(iter(old)) not in given:
+            return None
+    new_args, new_att, new_supp = args - prev.args, att - prev.att, supp - prev.supp
+    if (
+        len(args) - len(new_args) != len(prev.args)
+        or len(att) - len(new_att) != len(prev.att)
+        or len(supp) - len(new_supp) != len(prev.supp)
+    ):
+        return None
+    return new_args, new_att, new_supp
 
 
 def _require_argument(g: QBAG, x: str) -> None:
@@ -198,42 +218,32 @@ class _Index(NamedTuple):
 
 
 def _index(g: QBAG) -> _Index:
-    """One pass over both relations; O(V + E log E) in total.
+    """The index of the empty graph, extended by all of g; O(V + E log E).
 
     Built per call and never stored on the graph: keeping it on every
     step of a long chain would cost more memory than rebuilding it costs
     time.
     """
-    successors: dict[str, list[str]] = {x: [] for x in g.args}
-    attacker_lists: dict[str, list[str]] = {x: [] for x in g.args}
-    supporter_lists: dict[str, list[str]] = {x: [] for x in g.args}
-    for s, t in g.att:
-        successors[s].append(t)
-        attacker_lists[t].append(s)
-    for s, t in g.supp:
-        successors[s].append(t)
-        supporter_lists[t].append(s)
-    for lists in (successors, attacker_lists, supporter_lists):
-        for neighbours in lists.values():
-            neighbours.sort()
-    return _Index(successors, attacker_lists, supporter_lists)
+    index = _Index({}, {}, {})
+    _extend_index(index, g.args, g.att, g.supp)
+    return index
 
 
-def _extend_index(index: _Index, prev: QBAG, g: QBAG) -> set[str]:
-    """Turn prev's index into g's in place, for a g that contains prev.
+def _extend_index(
+    index: _Index, new_args: Iterable[str], new_att: Iterable[Edge], new_supp: Iterable[Edge]
+) -> set[str]:
+    """Add arguments and edges, as :func:`_added` gives them, to an index in place.
 
     New arguments get empty lists, and ``bisect.insort`` puts each new
-    edge into the sorted lists, so the result is ``==`` to ``_index(g)``.
-    Returns the arguments whose in-edges changed: the new arguments and
-    the targets of new edges.  Any new cycle passes through one of them.
+    edge into the sorted lists.  Returns the arguments whose in-edges
+    changed: the new arguments and the targets of new edges.  Any new
+    cycle passes through one of them.
     """
     successors, attacker_lists, supporter_lists = index
-    new_args = g.args - prev.args
     for x in new_args:
         successors[x], attacker_lists[x], supporter_lists[x] = [], [], []
     changed = set(new_args)
-    new_edges = ((g.att - prev.att, attacker_lists), (g.supp - prev.supp, supporter_lists))
-    for relation, in_lists in new_edges:
+    for relation, in_lists in ((new_att, attacker_lists), (new_supp, supporter_lists)):
         for s, t in relation:
             insort(successors[s], t)
             insort(in_lists[t], s)

@@ -17,8 +17,8 @@ from qbag import (
     build_chain,
     build_qbag,
     fairness_line,
-    is_expansion_chain,
     is_strongly_safe,
+    is_sub_qbag,
     is_weakly_safe,
     reaches,
     safety_curve,
@@ -40,9 +40,34 @@ def oracle_evaluate(g, sem=DFQUAD):
     return {x: sigma(x) for x in sorted(g.args)}
 
 
+def oracle_index(g):
+    """(successors, attackers, supporters) of each argument, from edge scans, then sorted."""
+    return (
+        {x: sorted([t for s, t in g.att if s == x] + [t for s, t in g.supp if s == x])
+         for x in g.args},
+        {x: sorted(attackers(g, x)) for x in g.args},
+        {x: sorted(supporters(g, x)) for x in g.args},
+    )
+
+
+def expansion_oracle(chain):
+    """The definition read literally: each step a strict sub-graph of its successor."""
+    return all(is_sub_qbag(g, h) and g != h for g, h in pairwise(chain.steps))
+
+
+def normal_expansion_oracle(chain):
+    """The definition read literally: no new edge joins two old arguments."""
+    return expansion_oracle(chain) and not any(
+        s in g.args and t in g.args
+        for g, h in pairwise(chain.steps)
+        for s, t in h.att | h.supp
+        if (s, t) not in g.att and (s, t) not in g.supp
+    )
+
+
 def weak_expansion_oracle(chain):
     """The definition read literally: one reaches() per (new, old) pair."""
-    return is_expansion_chain(chain) and not any(
+    return expansion_oracle(chain) and not any(
         reaches(h, x, y)
         for g, h in pairwise(chain.steps)
         for x in h.args - g.args

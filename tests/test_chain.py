@@ -34,7 +34,14 @@ from qbag.chain import _acyclic_steps, _plans
 from qbag.graph import _index, _ordered
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
-from .oracles import oracle_evaluate, parse_chain_oracle, weak_expansion_oracle
+from .oracles import (
+    expansion_oracle,
+    normal_expansion_oracle,
+    oracle_evaluate,
+    oracle_index,
+    parse_chain_oracle,
+    weak_expansion_oracle,
+)
 from .strategies import (
     chains,
     closing_chains,
@@ -56,6 +63,29 @@ class TestBuild:
     def test_empty_rejected(self):
         with pytest.raises(EmptyChain):
             build_chain([])
+
+
+@st.composite
+def signed_sweeps(draw):
+    """Sweeps of a step of a mixed chain with a 0.0 -> -0.0 step somewhere."""
+    g = draw(evolving_chains()).steps[-1]
+    if not g.args:
+        return build_chain([g])
+    x = draw(st.sampled_from(sorted(g.args)))
+    values = draw(st.lists(signed_strengths, max_size=3))
+    at = draw(st.integers(0, len(values)))
+    return sweep_chain(g, x, [*values[:at], 0.0, -0.0, *values[at:]])
+
+
+@st.composite
+def retuned_expansions(draw):
+    """Weak expansion chains where one later step also changes an old strength."""
+    steps = list(draw(weak_expansion_chains()).steps)
+    i = draw(st.integers(1, len(steps) - 1))
+    x = draw(st.sampled_from(sorted(steps[i - 1].args)))
+    g = steps[i]
+    steps[i] = build_qbag({**g.tau, x: draw(signed_strengths)}.items(), g.att, g.supp)
+    return build_chain(steps)
 
 
 class TestClassification:
@@ -136,6 +166,28 @@ class TestClassification:
         chain = build_chain(steps)
         assert is_expansion_chain(chain)
         assert is_weak_expansion_chain(chain) == weak_expansion_oracle(chain)
+
+    @given(
+        st.one_of(
+            chains(),
+            evolving_chains(),
+            weak_expansion_chains(),
+            retuned_expansions(),
+            closing_chains(),
+            signed_sweeps(),
+        )
+    )
+    def test_checks_match_the_definitions(self, chain):
+        assert is_expansion_chain(chain) == expansion_oracle(chain)
+        assert is_normal_expansion_chain(chain) == normal_expansion_oracle(chain)
+        assert is_weak_expansion_chain(chain) == weak_expansion_oracle(chain)
+
+    def test_signed_zero_step_is_not_strict(self):
+        # initial strengths compare by value: 0.0 -> -0.0 changes nothing
+        g = build_qbag([("a", 0.0), ("b", 0.5)], supports=[("a", "b")])
+        grown = build_qbag([("a", -0.0), ("b", 0.5), ("c", 0.5)], supports=[("a", "b")])
+        assert not is_expansion_chain(sweep_chain(g, "a", [0.0, -0.0]))
+        assert is_weak_expansion_chain(build_chain([g, grown]))
 
     @given(chains())
     def test_refinements_imply_expansion(self, chain):
@@ -395,10 +447,10 @@ class TestIncrementalStructure:
 
     @given(st.one_of(evolving_chains(), closing_chains(), weak_expansion_chains()))
     def test_extended_index_equals_a_fresh_one(self, chain):
-        for g, index, changed in _plans(chain):
-            assert index == _index(g)
-            if changed is not None:
-                assert changed <= g.args
+        for g, base, index, changed in _plans(chain):
+            assert index == _index(g) == oracle_index(g)
+            assert base.args <= g.args and base.att <= g.att and base.supp <= g.supp
+            assert changed <= g.args
 
     def test_step_extending_a_cyclic_step_stays_cyclic(self):
         g = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "b")])

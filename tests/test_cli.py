@@ -315,6 +315,27 @@ class TestSweep:
         chain = parse_chain(out.read_text(encoding="utf-8"))
         assert len(chain) == 3
 
+    @pytest.mark.parametrize("size", [1, 7, cli._WRITE_SLICE])
+    def test_file_written_in_slices_equals_the_document(
+        self, runner, sweep_path, tmp_path, monkeypatch, size
+    ):
+        monkeypatch.setattr(cli, "_WRITE_SLICE", size)
+        out = tmp_path / "out.json"
+        args = ["--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "5"]
+        result = runner.invoke(main, ["sweep", sweep_path, *args, "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.stdout == f"wrote {out}\n"
+        expected = serialize_chain(sweep_chain(sweep_base(), "f", cli._grid(0.1, 0.9, 5)))
+        assert len(expected) > 7 * 100
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_unwritable_out_path_fails(self, runner, sweep_path, tmp_path):
+        args = ["--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "3"]
+        result = runner.invoke(main, ["sweep", sweep_path, *args, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"cannot write {tmp_path}: ")
+
     def test_dense_csv_sweep_minimum(self, runner, sweep_path):
         result = runner.invoke(
             main,

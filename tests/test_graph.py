@@ -25,9 +25,11 @@ from qbag import (
     sweep_chain,
     topological_order,
 )
+from qbag.graph import _index
 
 from .cases import dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
-from .strategies import acyclic_qbags, arbitrary_qbags
+from .oracles import oracle_index
+from .strategies import acyclic_qbags, arbitrary_qbags, exotic_qbags
 
 
 class TestBuild:
@@ -115,6 +117,12 @@ class TestNeighbors:
             attackers(dialogue_step1(), "z")
         with pytest.raises(UnknownArgument):
             supporters(dialogue_step1(), "z")
+
+
+class TestIndex:
+    @given(st.one_of(arbitrary_qbags(), exotic_qbags()))
+    def test_index_equals_edge_scans(self, g):
+        assert _index(g) == oracle_index(g)
 
 
 class TestReaches:
