@@ -241,8 +241,8 @@ def sweep(
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as out:
-                for start in range(0, len(document), _WRITE_SLICE):
-                    out.write(document[start : start + _WRITE_SLICE])
+                for offset in range(0, len(document), _WRITE_SLICE):
+                    out.write(document[offset : offset + _WRITE_SLICE])
         except OSError as exc:
             _fail(f"cannot write {out_path}: {exc}")
         click.echo(f"wrote {out_path}")

@@ -19,18 +19,22 @@ shortest round-trip form, so equal values always serialize to identical
 bytes.  parse(serialize(v)) returns a structurally equal value.
 
 A chain document in that canonical layout is decoded block by block:
-the envelope and key lines are matched as text, each step's values are
-decoded on their own, and a relation block that repeats the previous
-step's text is not decoded again.  Any other valid JSON, and any document
-with an error, goes through json.loads of the whole text; it parses to
-the same value or raises the same error.
+the envelope and key lines are matched as text, and a block decodes only
+the entries that the same block of the previous step did not have, so a
+block that repeats the previous step's text is not decoded at all.  Any
+other valid JSON, and any document with an error, goes through
+json.loads of the whole text; it parses to the same value or raises the
+same error.  Likewise, a step that keeps the previous step's structure
+is serialized by rendering only the strengths that changed.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from itertools import compress
+from operator import is_not
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
@@ -86,7 +90,7 @@ def _load_document(text: str, expected_kind: str) -> dict:
     return data
 
 
-def _parse_edges(raw: object, where: str) -> list[tuple[str, str]]:
+def _parse_edges(raw: object, where: str = "") -> list[tuple[str, str]]:
     if type(raw) is not list:
         raise DocumentError(f"{where}: expected a list")
     for i, pair in enumerate(raw):
@@ -103,22 +107,14 @@ def _parse_edges(raw: object, where: str) -> list[tuple[str, str]]:
 class _Step(NamedTuple):
     """A parsed step plus the raw structure it was validated from."""
 
-    ids: list
+    ids: Sequence
     attacks: object
     supports: object
     graph: QBAG
 
 
 def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _Step:
-    """Check one graph payload; build_qbag holds the id and relation rules.
-
-    A step whose ids and raw edge lists are == to the previous step's
-    passes those rules exactly when the previous step did, so it reuses
-    the previous step's validated frozensets and only reads its own
-    initial strengths.  A step that contains the previous one has only
-    its new ids and pairs checked, by ``graph._extend_qbag``; when that
-    finds a problem, build_qbag checks the whole step and words the error.
-    """
+    """Check one graph payload's argument entries; _step builds the graph."""
     raw_args = payload.get("arguments")
     if type(raw_args) is not list:
         raise DocumentError(f"{path}arguments: expected a list")
@@ -140,32 +136,44 @@ def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _
             )
         ids.append(entry["id"])
         values.append(initial)
-    raw_att = payload.get("attacks")
-    raw_supp = payload.get("supports")
-    if (
-        previous is not None
-        and ids == previous.ids
-        and raw_att == previous.attacks
-        and raw_supp == previous.supports
-    ):
-        g = previous.graph
+    return _step(previous, path, ids, values, payload.get("attacks"), payload.get("supports"))
+
+
+def _step(previous, path, ids, values, attacks, supports, raw=True) -> _Step:
+    """One step from its ids, its strengths in [0, 1] and its relations.
+
+    The relations are JSON lists that _parse_edges checks, or, when
+    ``raw`` is false, lists of checked pair tuples.  build_qbag holds the
+    id and relation rules.  A step whose ids and relations are == to the
+    previous step's passes those rules exactly when the previous step
+    did, so it reuses the previous step's validated frozensets and only
+    reads its own initial strengths.  A step that contains the previous
+    one has only its new ids and pairs checked, by
+    ``graph._extend_qbag``; when that finds a problem, build_qbag checks
+    the whole step and words the error.
+    """
+    if previous is not None and ids == previous.ids:
         ids = previous.ids  # every step keys its strengths by the same id strings
-        tau = dict(zip(ids, map(float, values)))
-        return _Step(ids, raw_att, raw_supp, QBAG(g.args, tau, g.att, g.supp))
-    attacks = _parse_edges(raw_att, f"{path}attacks")
-    supports = _parse_edges(raw_supp, f"{path}supports")
+        if attacks == previous.attacks and supports == previous.supports:
+            g = previous.graph
+            tau = dict(zip(ids, map(float, values)))
+            return _Step(ids, attacks, supports, QBAG(g.args, tau, g.att, g.supp))
+    att, supp = attacks, supports
+    if raw:
+        att = _parse_edges(attacks, f"{path}attacks")
+        supp = _parse_edges(supports, f"{path}supports")
     g = None
     if previous is not None:
-        g = _extend_qbag(previous.graph, ids, values, attacks, supports)
+        g = _extend_qbag(previous.graph, ids, values, att, supp)
     if g is None:
         try:
-            g = build_qbag(zip(ids, values), attacks=attacks, supports=supports)
+            g = build_qbag(zip(ids, values), attacks=att, supports=supp)
         except QbagError as exc:
             # duplicate ids, dangling endpoints, relation overlap: keep the
             # specific error type, prefix the document location
             where = path.rstrip(".") or "document"
             raise type(exc)(f"{where}: {exc}") from None
-    return _Step(ids, raw_att, raw_supp, g)
+    return _Step(ids, attacks, supports, g)
 
 
 def parse_qbag(text: str) -> QBAG:
@@ -183,13 +191,20 @@ def parse_chain(text: str) -> Chain:
     and pairs are checked, and its relations reuse the previous step's
     pair tuples.
 
-    A document in the canonical layout is decoded step by step, each
-    distinct relation block once.  Any other document, and any document
-    with an error, is parsed whole by ``json.loads``; that path gives the
-    same value, and reports the first error in the documented precedence.
+    A document in the canonical layout is decoded block by block, and a
+    block decodes only the entries that the same block of the previous
+    step did not have.  Any other document, and any document with an
+    error, is parsed whole by ``json.loads``; that path gives the same
+    value, and reports the first error in the documented precedence.
     """
     try:
-        return _build_chain(_canonical_steps(text))
+        qbags = []
+        step = None
+        for entries, attacks, supports in _canonical_steps(text):
+            ids, values = zip(*entries) if entries else ((), ())
+            step = _step(step, "", ids, values, attacks, supports, False)
+            qbags.append(step.graph)
+        return build_chain(qbags)
     except Exception:  # off the layout or invalid: the general path decides
         pass
     data = _load_document(text, "chain")
@@ -198,13 +213,9 @@ def parse_chain(text: str) -> Chain:
         raise DocumentError("steps: expected a list")
     if not steps:
         raise EmptyChain("chain document has zero steps")
-    return _build_chain(steps)
-
-
-def _build_chain(payloads: Iterable[object]) -> Chain:
     qbags = []
     step = None
-    for i, payload in enumerate(payloads):
+    for i, payload in enumerate(steps):
         if type(payload) is not dict:
             raise DocumentError(f"steps[{i}]: expected an object")
         _reject_unknown_keys(payload, _STEP_KEYS, f"steps[{i}]: unknown keys")
@@ -235,36 +246,128 @@ def _skip(text: str, pos: int, literal: str) -> int:
     return pos + len(literal)
 
 
-def _relation_at(text: str, pos: int, last: tuple) -> tuple[tuple, int]:
-    """The (value, text) of the relation block at pos, and the position after it.
+def _entries(value: object) -> list[tuple[str, object]]:
+    """The (id, initial) of each decoded argument entry, if all are flat.
 
-    A block whose text repeats the last one's is not decoded again, so
-    both steps get the same list object.
+    A flat entry has exactly the keys id and initial, a string id and an
+    int or float initial in [0, 1].
     """
-    block = last[1]
-    if block is not None and text.startswith(block, pos):
-        return last, pos + len(block)
-    value, end = _decode(text, pos)
-    return (value, text[pos:end]), end
+    if type(value) is not list:
+        raise _OffLayout
+    items = []
+    for entry in value:
+        if type(entry) is not dict or len(entry) != 2:
+            raise _OffLayout
+        x = entry.get("id")
+        v = entry.get("initial")
+        if type(x) is not str or type(v) is not float and type(v) is not int:
+            raise _OffLayout
+        if not 0.0 <= v <= 1.0:
+            raise _OffLayout
+        items.append((x, v))
+    return items
 
 
-def _canonical_steps(text: str) -> Iterator[dict]:
-    """The step payloads of a chain document in the canonical layout.
+# _Blocks reads the successive blocks of one key.  A block that repeats the
+# last one's text is the same list again.  Otherwise a block in the layout
+# is split on its separator; each piece the last block also had is taken
+# from its items, and only the new pieces are decoded, all in one call.
+#
+# That is exact.  Neither separator can lie inside a JSON string, which
+# cannot hold a raw newline, so each brace (or bracket) of a separator is
+# structure.  The new pieces are joined with the same separator inside one
+# more pair of brackets, "[{" + pieces + "}]", and the result counts only
+# if all of that text decodes to exactly one flat item per piece.  A flat
+# item holds no brace or bracket but its own, and the wrappers and
+# separators already open as many items as there are pieces; so no piece
+# opens or closes another, each piece is the inside of exactly one item,
+# and the same piece text is the same value in any block.  A piece never
+# holds zero items: an empty one decodes to {} or [], which is not flat.
+# Only the pieces of a block read this way are taken again; a block
+# decoded whole keeps none.  A block made of such pieces is a JSON list of
+# their items, and it ends where its text ends, since no JSON value is a
+# proper prefix of another.
+#
+# A block that keeps neither the first nor the last piece of the last one
+# is decoded whole, as a rewired step's blocks are: splitting it would not
+# pay.  Only the last piece needs the block's end, found by a scan of its
+# text; a block that did not keep its predecessor's last piece is taken as
+# a sign that the next one will not either, so a run of rewired blocks
+# pays no scan.
+
+
+class _Blocks:
+    """The blocks of one key in successive steps; see the comment above."""
+
+    def __init__(self, brackets: str, flat: Callable[[object], list]) -> None:
+        # a block in the layout is opener + pieces joined by separator + close
+        self.brackets = brackets
+        self.opener = "[\n        " + brackets[0]
+        self.separator = brackets[1] + ",\n        " + brackets[0]
+        self.close = brackets[1] + "\n      ]"
+        self.flat = flat
+        self.text = self.items = self.pieces = None  # of the last block
+        self.kept_tail = True
+
+    def read(self, text: str, pos: int, follow: str) -> tuple[list, int]:
+        """The items of the block at pos, and the position after it and follow."""
+        last = self.text
+        if last is not None and text.startswith(last, pos):
+            return self.items, _skip(text, pos + len(last), follow)
+        opener, separator, close = self.opener, self.separator, self.close
+        items = tail = None
+        if text.startswith(opener, pos):
+            head = True
+            if last is not None:
+                tail = last[last.rfind(separator) + len(separator) :]
+                head = text.startswith(last[: last.find(separator)], pos)
+            if head or self.kept_tail:
+                end = text.find(close + follow, pos) + len(close)
+                if end >= len(close) and (head or text.endswith(tail, pos, end)):
+                    items = self._splice(text[pos + len(opener) : end - len(close)])
+        if items is None:
+            value, end = _decode(text, pos)
+            items = self.flat(value)
+            self.pieces = None
+        self.kept_tail = tail is None or text.endswith(tail, pos, end)
+        self.text = text[pos:end]
+        self.items = items
+        return items, _skip(text, end, follow)
+
+    def _splice(self, inside: str) -> list:
+        pieces = inside.split(self.separator)
+        items = list(map(dict(zip(self.pieces or (), self.items or ())).get, pieces))
+        missing = [i for i, item in enumerate(items) if item is None]
+        if missing:
+            joined = self.separator.join([pieces[i] for i in missing])
+            joined = f"[{self.brackets[0]}{joined}{self.brackets[1]}]"
+            value, end = _decode(joined)
+            value = self.flat(value)
+            if end != len(joined) or len(value) != len(missing):
+                raise _OffLayout
+            for i, item in zip(missing, value):
+                items[i] = item
+        self.pieces = pieces
+        return items
+
+
+def _canonical_steps(text: str) -> Iterator[tuple[list, list, list]]:
+    """The argument entries, attacks and supports of each step of a canonical chain.
 
     The envelope and the key lines are matched as literal text and only
-    the values between them are decoded, one step at a time, so the whole
-    document is never held as one tree.  Raises _OffLayout at the first
-    byte outside the layout; a JSON value in a step is decoded as
-    ``json.loads`` would decode it, whatever its own layout.
+    the blocks between them are decoded, one step at a time, so the
+    whole document is never held as one tree.  Raises at the first byte
+    outside the layout, and at any value that is not flat.
     """
     pos = _skip(text, 0, _CHAIN_OPEN)
-    att = supp = (None, None)  # (value, text) of the last block read
+    arguments = _Blocks("{}", _entries)
+    attacks = _Blocks("[]", _parse_edges)
+    supports = _Blocks("[]", _parse_edges)
     while True:
-        arguments, pos = _decode(text, _skip(text, pos, _STEP_OPEN))
-        att, pos = _relation_at(text, _skip(text, pos, _ATTACKS_KEY), att)
-        supp, pos = _relation_at(text, _skip(text, pos, _SUPPORTS_KEY), supp)
-        pos = _skip(text, pos, _STEP_CLOSE)
-        yield {"arguments": arguments, "attacks": att[0], "supports": supp[0]}
+        entries, pos = arguments.read(text, _skip(text, pos, _STEP_OPEN), _ATTACKS_KEY)
+        att, pos = attacks.read(text, pos, _SUPPORTS_KEY)
+        supp, pos = supports.read(text, pos, _STEP_CLOSE)
+        yield entries, att, supp
         if not text.startswith(_STEP_SEPARATOR, pos):
             break
         pos += len(_STEP_SEPARATOR)
@@ -314,7 +417,9 @@ def _payload(g: QBAG, pad: str, rendered: dict, parts: list[str]) -> None:
 
     ``rendered`` maps each relation already written in this call to its
     text, and each argument id to the text before its strength, so the
-    steps of a sweep render their shared edges and ids once.
+    steps of a sweep render their shared edges and ids once.  The key is
+    one part, then come "[\n" and three parts per argument in id order:
+    the text before its strength, the strength, the text after it.
     """
     parts.append(f'{pad}"arguments": ')
     args = sorted(g.args)
@@ -355,10 +460,33 @@ def serialize_chain(c: Chain) -> str:
     """The chain document, built as one list of parts and joined once."""
     rendered: dict = {}
     parts = [_CHAIN_OPEN]
+    last = keys = None
     for g in c.steps:
-        parts.append("    {\n")
-        _payload(g, "      ", rendered, parts)
-        parts += (_STEP_CLOSE, _STEP_SEPARATOR)
+        start = len(parts)
+        spliced = False
+        if last is not None and g.args is last.args and g.att is last.att and g.supp is last.supp:
+            # A step with the structure of the last one copies its parts and
+            # renders only the strengths that are not the same object: the
+            # same object renders the same text, while == would mix up 0.0
+            # and -0.0, or 1 and 1.0.  Part 3i + 4 of a step is the strength
+            # of its i-th argument in id order.
+            if keys is None:
+                keys, values = list(last.tau), list(last.tau.values())
+                rank = {x: 3 * i + 4 for i, x in enumerate(sorted(keys))}
+                slots = list(map(rank.__getitem__, keys))
+            last_values, values = values, list(g.tau.values())
+            spliced = list(g.tau) == keys
+        if spliced:
+            parts += parts[begin:start]
+            for slot, value in compress(zip(slots, values), map(is_not, values, last_values)):
+                parts[start + slot] = _number(value)
+        else:
+            parts.append("    {\n")
+            _payload(g, "      ", rendered, parts)
+            parts += (_STEP_CLOSE, _STEP_SEPARATOR)
+            keys = None
+        begin = start
+        last = g
     parts[-1] = _CHAIN_CLOSE  # a chain has at least one step
     return "".join(parts)
 

@@ -1,6 +1,8 @@
 """Document round-trips, parse errors, and CSV layouts."""
 
 import json
+import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +34,7 @@ from qbag import (
     sweep_chain,
 )
 
+from qbag import QBAG, serialize
 from qbag.serialize import _canonical_steps
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
@@ -47,6 +50,7 @@ from .strategies import (
     mutated_documents,
     near_documents,
     shared_chains,
+    signed_strengths,
     strengths,
     weak_expansion_chains,
 )
@@ -400,11 +404,11 @@ class TestCanonicalDecoder:
         assert parse_chain(text) == c
 
     def test_repeated_blocks_arrive_as_one_list(self):
-        payloads = list(_canonical_steps(serialize_chain(sweep_dialogue())))
-        for first, later in zip(payloads, payloads[1:]):
-            assert later["attacks"] is first["attacks"]
-            assert later["supports"] is first["supports"]
-            assert later["arguments"] is not first["arguments"]
+        steps = list(_canonical_steps(serialize_chain(sweep_dialogue())))
+        for (arguments, attacks, supports), later in zip(steps, steps[1:]):
+            assert later[1] is attacks
+            assert later[2] is supports
+            assert later[0] is not arguments
 
     @pytest.mark.parametrize("text", OFF_LAYOUT.values(), ids=OFF_LAYOUT.keys())
     def test_off_layout_documents_take_the_general_path(self, text):
@@ -419,6 +423,200 @@ class TestCanonicalDecoder:
             parse_chain(_with_dangling_pair(step))
         with pytest.raises(DocumentError, match=r"^syntax error at line"):
             parse_chain(_with_dangling_pair(step)[:-4])
+
+
+def _edited(text, old, new, n):
+    """_replace_nth, for an old that occurs more than n times."""
+    assert text.count(old) > n, f"{old!r} occurs only {text.count(old)} times"
+    return _replace_nth(text, old, new, n)
+
+
+def _sweep_text(x, values=(0.1, 0.5, 0.9)):
+    return serialize_chain(sweep_chain(sweep_base(), x, list(values)))
+
+
+def _rewired_chain(seed, steps=6, size=8):
+    """Steps over one id set, each with fresh strengths and fresh forward edges."""
+    rng = random.Random(seed)
+    ids = [f"n{i}" for i in range(size)]
+    graphs = []
+    for _ in range(steps):
+        order = rng.sample(ids, size)
+        pairs = [(order[i], order[j]) for i in range(size) for j in range(i + 1, size)]
+        edges = rng.sample(pairs, 10)
+        graphs.append(build_qbag([(x, rng.random()) for x in ids], edges[:5], edges[5:]))
+    return build_chain(graphs)
+
+
+# Two edgeless arguments and a sweep of the second: a step that loses one of
+# them is still a valid graph, so a wrongly read piece shows in the value.
+PAIR_SWEEP = serialize_chain(sweep_chain(build_qbag([("a", 0.5), ("b", 0.1)]), "b", [0.1, 0.5]))
+# an extension whose new argument and new pairs sort before every old one,
+# then one that adds arguments and pairs at both ends of every block
+FRONT_EXTENSION = serialize_chain(build_chain([
+    build_qbag([("b", 0.5), ("c", 0.5), ("d", 0.5)], [("b", "c")], [("c", "d")]),
+    build_qbag([("a", 0.5), ("b", 0.5), ("c", 0.5), ("d", 0.5)], [("a", "b"), ("b", "c")],
+               [("a", "c"), ("c", "d")]),
+    build_qbag([(x, 0.5) for x in "0abcde"], [("0", "a"), ("a", "b"), ("b", "c"), ("b", "d")],
+               [("0", "c"), ("a", "c"), ("c", "d"), ("d", "e")]),
+]))
+# (text, whether parse_chain reads it without json.loads)
+PIECE_DOCUMENTS = {
+    # each end guard alone: a sweep of the first argument keeps only the last
+    # piece of each arguments block, a sweep of the last only the first
+    "sweep-first": (_sweep_text("a"), True),
+    "sweep-last": (_sweep_text("f"), True),
+    "front-extension": (FRONT_EXTENSION, True),
+    "escaped-ids": (serialize_chain(sweep_chain(
+        build_qbag([("é", 0.5), ("\U0001f600", 0.25), ('q"', 0.5)], [("é", 'q"')]), "é",
+        [0.1, 0.2, 0.3])), True),
+    # the same id written with an escape: a new piece, the same value
+    "re-escaped-id": (_edited(PAIR_SWEEP, '"id": "a"', '"id": "\\u0061"', 1), True),
+    "compact-inside-a-piece": (_edited(
+        PAIR_SWEEP, '"initial": 0.5\n        }', '"initial":0.5}', 1), True),
+    "duplicated-pair": (_edited(
+        _sweep_text("f"), '[\n          "e",\n          "b"\n        ]',
+        '[\n          "e",\n          "b"\n        ],\n        [\n          "e",\n          "b"\n        ]',
+        1), True),
+    # a piece holding a second, compact entry: one piece, two items
+    "second-compact-entry": (_edited(
+        PAIR_SWEEP, '},\n        {\n          "id": "b"', '}, {"id": "b"', 1), False),
+    "duplicated-piece": (_edited(
+        PAIR_SWEEP, '{\n          "id": "b"',
+        '{\n          "id": "a",\n          "initial": 0.5\n        },\n        {\n          "id": "b"',
+        1), False),
+    "empty-piece": (_edited(
+        PAIR_SWEEP, '{\n          "id": "b"', '{},\n        {\n          "id": "b"', 1), False),
+    "extra-key": (_edited(
+        PAIR_SWEEP, '"initial": 0.5\n        }\n      ]', '"initial": 0.5, "x": 1\n        }\n      ]',
+        0), False),
+    "out-of-range": (_edited(
+        PAIR_SWEEP, '"initial": 0.5\n        }\n      ]', '"initial": 2.0\n        }\n      ]',
+        0), False),
+}
+
+
+class TestPieceDecoder:
+    """A block decodes only the entries that the previous step's block lacked."""
+
+    @pytest.mark.parametrize(
+        ("text", "fast"), PIECE_DOCUMENTS.values(), ids=PIECE_DOCUMENTS.keys()
+    )
+    def test_parity(self, text, fast):
+        if fast:
+            _assert_decoded_block_by_block(text)
+            return
+        _assert_parse_parity(text)
+        with mock.patch.object(json, "loads", side_effect=_GeneralPath):
+            with pytest.raises(_GeneralPath):
+                parse_chain(text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rewired_chains(self, seed):
+        _assert_decoded_block_by_block(serialize_chain(_rewired_chain(seed, steps=12)))
+
+
+class TestChainTextWork:
+    """Chain text costs what a step changes, on both sides."""
+
+    @pytest.mark.parametrize("x", ["a", "c", "f"])
+    def test_parse_decodes_one_entry_per_swept_step(self, x, monkeypatch):
+        # a, c and f are the first, a middle and the last argument
+        text = _sweep_text(x, [i / 199 for i in range(200)])
+        decoded = []
+        original = serialize._decode
+
+        def counting(s, idx=0):
+            value, end = original(s, idx)
+            decoded.append((value, end - idx))
+            return value, end
+
+        monkeypatch.setattr(serialize, "_decode", counting)
+        c = parse_chain(text)
+        assert [g.tau[x] for g in c] == [i / 199 for i in range(200)]
+        # the first step's three blocks, then one entry per later step
+        first, later = decoded[:3], decoded[3:]
+        assert [len(value) for value, _ in first] == [6, 3, 6]
+        assert len(later) == 199
+        longest = max(map(len, re.findall(r'\{\n {10}"id": [^}]*\}', text)))
+        for value, size in later:
+            assert len(value) == 1 and value[0]["id"] == x
+            assert size <= longest + 2  # the entry inside the brackets of a list
+
+    def test_serialize_renders_changed_strengths_only(self, monkeypatch):
+        c = sweep_chain(sweep_base(), "f", [i / 199 for i in range(200)])
+        calls = []
+        original = serialize._number
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(serialize, "_number", counting)
+        text = serialize_chain(c)
+        assert text == canonical_json(chain_document(c))
+        assert len(calls) == len(sweep_base().args) + 199
+
+
+def _shared_step(g, tau):
+    """A raw step that shares g's argument set and relations by identity."""
+    return QBAG(g.args, tau, g.att, g.supp)
+
+
+@st.composite
+def spliced_chains(draw):
+    """Chains whose steps share the argument set by identity, in many ways.
+
+    Sweeps over values with both signed zeros and repeats; raw steps that
+    change no, one or every strength, some of them to an int or to the
+    other zero, or that list the strengths in another key order; and
+    shared steps after a rebuilt one.
+    """
+    g = draw(st.one_of(acyclic_qbags(min_args=1), exotic_qbags().filter(lambda g: g.args)))
+    values = st.one_of(signed_strengths, st.sampled_from([0, 1]))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["sweep", "none", "one", "every", "reorder", "rebuild"]))
+        last = steps[-1] if steps else g
+        tau = dict(last.tau)
+        if kind == "sweep":
+            swept = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_size=4))
+            steps += sweep_chain(last, draw(st.sampled_from(sorted(g.args))), swept)
+            continue
+        if kind == "one":
+            tau[draw(st.sampled_from(sorted(g.args)))] = draw(values)
+        elif kind == "every":
+            tau = {x: draw(values) for x in tau}
+        elif kind == "reorder":
+            tau = dict(reversed(tau.items()))
+        elif kind == "rebuild":  # equal sets, but not the same objects
+            steps.append(build_qbag(tau.items(), last.att, last.supp))
+            continue
+        steps.append(_shared_step(last, tau))
+    return build_chain(steps)
+
+
+class TestSplice:
+    """serialize_chain re-renders a step's changed strengths only, and still
+    writes exactly what json.dumps(doc, indent=2) would."""
+
+    @given(spliced_chains())
+    @settings(max_examples=200)
+    def test_matches_oracle(self, c):
+        assert serialize_chain(c) == canonical_json(chain_document(c))
+
+    def test_int_strength_after_equal_float(self):
+        g = build_qbag([("a", 1.0), ("b", 0.0)])
+        c = build_chain([g, _shared_step(g, {"a": 1, "b": -0.0}), _shared_step(g, {"a": 1.0, "b": 0})])
+        text = serialize_chain(c)
+        assert text == canonical_json(chain_document(c))
+        assert text.count('"initial": 1\n') == 1 and text.count('"initial": -0.0\n') == 1
+
+    def test_empty_steps_share_nothing_with_empty_relations(self):
+        # an empty argument set and an empty relation are equal frozensets
+        g = build_qbag([])
+        c = build_chain([g, _shared_step(g, {}), build_qbag([("a", 0.5)]), g])
+        assert serialize_chain(c) == canonical_json(chain_document(c))
 
 
 class TestRoundTrip:
