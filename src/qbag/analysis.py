@@ -25,47 +25,46 @@ floating point only enters in the final sigmoid and logarithm steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .chain import StrengthMatrix
 from .errors import EmptyTopicSet
-from .graph import validate_strength
+from .graph import _Record, _set_field, validate_strength
 
 
-@dataclass(frozen=True)
-class SLFQuery:
+class SLFQuery(_Record):
     """Topic arguments plus the threshold of justification."""
 
     topics: frozenset[str]
     threshold: float
 
-    def __post_init__(self) -> None:
-        if isinstance(self.topics, str):  # frozenset("ab") is {"a", "b"}
-            raise TypeError(f"topics must be a collection of ids, not the str {self.topics!r}")
-        object.__setattr__(self, "topics", frozenset(self.topics))
-        if not self.topics:
+    def __init__(self, topics: Collection[str], threshold: float) -> None:
+        if isinstance(topics, str):  # frozenset("ab") is {"a", "b"}
+            raise TypeError(f"topics must be a collection of ids, not the str {topics!r}")
+        topics = frozenset(topics)
+        if not topics:
             raise EmptyTopicSet("query needs at least one topic argument")
-        object.__setattr__(
-            self, "threshold", validate_strength(self.threshold, owner="threshold")
-        )
+        _set_field(self, "topics", topics)
+        _set_field(self, "threshold", validate_strength(threshold, owner="threshold"))
 
     def sorted_topics(self) -> list[str]:
         return sorted(self.topics)
 
 
-@dataclass(frozen=True)
-class FairnessLine:
+class FairnessLine(_Record):
     """The straight line from (0, 0) to (|T|, sum of exceedance counts)."""
 
     slope: Fraction
     endpoints: tuple[tuple[int, int], tuple[int, int]]
 
+    def __init__(self, slope: Fraction, endpoints: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        _set_field(self, "slope", slope)
+        _set_field(self, "endpoints", endpoints)
 
-@dataclass(frozen=True)
-class FairnessReport:
+
+class FairnessReport(_Record):
     """Everything the gradual fairness scores are made of."""
 
     exceed_counts: dict[str, int]
@@ -77,6 +76,28 @@ class FairnessReport:
     p: dict[str, Fraction] | None
     base_b: int | None
     shannon_score: float
+
+    def __init__(
+        self,
+        exceed_counts: dict[str, int],
+        ordering: tuple[str, ...],
+        curve_points: tuple[tuple[int, int], ...],
+        line_slope: Fraction,
+        gini_area: Fraction,
+        gini_score: float,
+        p: dict[str, Fraction] | None,
+        base_b: int | None,
+        shannon_score: float,
+    ) -> None:
+        _set_field(self, "exceed_counts", exceed_counts)
+        _set_field(self, "ordering", ordering)
+        _set_field(self, "curve_points", curve_points)
+        _set_field(self, "line_slope", line_slope)
+        _set_field(self, "gini_area", gini_area)
+        _set_field(self, "gini_score", gini_score)
+        _set_field(self, "p", p)
+        _set_field(self, "base_b", base_b)
+        _set_field(self, "shannon_score", shannon_score)
 
 
 # -- the threshold states --------------------------------------------------

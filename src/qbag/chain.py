@@ -9,21 +9,32 @@ refinements on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
 from math import copysign
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain, UnknownArgument
-from .graph import QBAG, Edge, _added, _extend_index, _Index, _ordered, validate_strength
+from .graph import (
+    QBAG,
+    Edge,
+    _added,
+    _extend_index,
+    _Index,
+    _ordered,
+    _Record,
+    _set_field,
+    validate_strength,
+)
 from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """Ordered non-empty sequence of graphs."""
 
     steps: tuple[QBAG, ...]
+
+    def __init__(self, steps: tuple[QBAG, ...]) -> None:
+        _set_field(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -35,8 +46,7 @@ class Chain:
         return self.steps[index]
 
 
-@dataclass(frozen=True)
-class StrengthMatrix:
+class StrengthMatrix(_Record):
     """Final strengths per (chain position, argument).
 
     Row i holds the strengths of step i; its domain is exactly that
@@ -46,8 +56,9 @@ class StrengthMatrix:
 
     rows: tuple[StrengthAssignment, ...]
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __init__(self, rows: tuple[StrengthAssignment, ...]) -> None:
+        _set_field(self, "rows", rows)
+        if not rows:
             raise EmptyChain("a strength matrix needs at least one row")
 
     def __len__(self) -> int:

@@ -3,17 +3,26 @@
 Subcommands: validate, eval, analyze, sweep, curve.  Input files are
 UTF-8 documents in the format described in qbag.serialize; results go to
 standard output, diagnostics to standard error.  Exit status is 0 on
-success and 2 on any usage or input problem.
+success and 2, with one line on standard error, on any usage or input
+problem.
+
+Each subcommand takes one positional path and the options of its entry in
+``_COMMANDS``.  An option that takes a value takes the next token, whatever
+it is, or the text after ``=`` in ``--name=value``; a repeated option
+keeps its last value; ``--`` ends the options; ``-h`` or ``--help`` prints
+help to standard output.  Argument ids may begin with ``-``, so
+``--topics -a`` names the topic ``-a``.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
+from typing import Callable, NamedTuple
 
 from .analysis import (
     SLFQuery,
@@ -52,8 +61,30 @@ MAX_SWEEP_STEPS = 1_000_000
 _WRITE_SLICE = 1 << 20
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """Write a message to stdout or stderr and flush it.
+
+    A stream whose encoding is ASCII is taken to be misconfigured: the
+    message goes to its byte buffer in UTF-8 instead, so ids outside
+    ASCII print the same bytes whatever the locale says.
+    """
+    stream = sys.stderr if err else sys.stdout
+    if stream is None:  # the process started with that descriptor closed
+        return
+    if nl:
+        message += "\n"
+    buffer = getattr(stream, "buffer", None)
+    if buffer is not None and codecs.lookup(stream.encoding or "ascii").name == "ascii":
+        stream.flush()
+        buffer.write(message.encode("utf-8", "replace"))
+        buffer.flush()
+    else:
+        stream.write(message)
+        stream.flush()
+
+
 def _fail(message: str) -> None:
-    click.echo(message, err=True)
+    _echo(message, err=True)
     sys.exit(2)
 
 
@@ -74,10 +105,6 @@ def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
     return matrix, SLFQuery(topics=frozenset(ids), threshold=threshold)
 
 
-_semantics_option = click.option("--semantics", "semantics_name", default="dfquad", show_default=True)
-_topics_option = click.option("--topics", required=True, help="Comma-separated topic argument ids.")
-
-
 def _grid(start: float, stop: float, steps: int) -> list[float]:
     """Evenly spaced values from start to stop, both ends exact.
 
@@ -94,65 +121,27 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-class _Main(click.Group):
-    """The one input-error boundary: every QbagError exits 2 on one line."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except QbagError as exc:
-            _fail(f"{type(exc).__name__}: {exc}")
-
-
-@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
-def main() -> None:
-    """Evaluate argumentation graphs and analyze dialogue chains."""
-
-
-@main.command()
-@click.argument("chain_path")
 def validate(chain_path: str) -> None:
     """Check a chain document and classify the chain."""
     chain = parse_chain(_read_text(chain_path))
     verdicts = _acyclic_steps(chain)
     for i, acyclic in enumerate(verdicts, start=1):
-        click.echo(f"step {i}: {'acyclic' if acyclic else 'cyclic'}")
+        _echo(f"step {i}: {'acyclic' if acyclic else 'cyclic'}")
     if not all(verdicts):
         _fail(f"CyclicGraph at step {verdicts.index(False) + 1}")
-    click.echo(f"expansion: {_yesno(is_expansion_chain(chain))}")
-    click.echo(f"normal: {_yesno(is_normal_expansion_chain(chain))}")
-    click.echo(f"weak: {_yesno(is_weak_expansion_chain(chain))}")
+    _echo(f"expansion: {_yesno(is_expansion_chain(chain))}")
+    _echo(f"normal: {_yesno(is_normal_expansion_chain(chain))}")
+    _echo(f"weak: {_yesno(is_weak_expansion_chain(chain))}")
 
 
-@main.command(name="eval")
-@click.argument("qbag_path")
-@_semantics_option
 def eval_cmd(qbag_path: str, semantics_name: str) -> None:
     """Print final strengths of a single graph."""
     g = parse_qbag(_read_text(qbag_path))
     sem = semantics_by_name(semantics_name)
     assignment = evaluate(g, sem)
-    click.echo(" ".join(f"{x}={format(v, '.12g')}" for x, v in assignment.values.items()))
+    _echo(" ".join(f"{x}={format(v, '.12g')}" for x, v in assignment.values.items()))
 
 
-@main.command()
-@click.argument("chain_path")
-@_topics_option
-@click.option("--threshold", required=True, type=float, help="Justification threshold in [0, 1].")
-@click.option(
-    "--checks",
-    type=click.Choice(["safety", "liveness", "fairness", "all"]),
-    default="all",
-    show_default=True,
-)
-@_semantics_option
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "structured", "csv"]),
-    default="text",
-    show_default=True,
-)
 def analyze(
     chain_path: str,
     topics: str,
@@ -185,7 +174,7 @@ def analyze(
         payload = {k: round(v, _SCORE_PLACES) if isinstance(v, float) else v for k, v in result.items()}
         if report is not None:
             payload["fairness_report"] = report_to_dict(report)
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
         return
     sep = "," if fmt == "csv" else ": "
     for key, value in result.items():
@@ -197,20 +186,9 @@ def analyze(
                 v = _yesno(v)
             elif isinstance(v, float):
                 v = format(v, f".{_SCORE_PLACES}f")
-            click.echo(f"{name}{sep}{v}")
+            _echo(f"{name}{sep}{v}")
 
 
-@main.command()
-@click.argument("qbag_path")
-@click.option("--argument", "argument_id", required=True, help="Argument whose strength varies.")
-@click.option("--from", "start", required=True, type=float)
-@click.option("--to", "stop", required=True, type=float)
-@click.option(
-    "--steps", required=True, type=int, help=f"Number of grid points, 1 to {MAX_SWEEP_STEPS}."
-)
-@click.option("--out", "out_path", default=None, help="Write the chain document here instead of stdout.")
-@click.option("--csv", "as_csv", is_flag=True, help="Evaluate the sweep and print the strength CSV.")
-@_semantics_option
 def sweep(
     qbag_path: str,
     argument_id: str,
@@ -233,11 +211,11 @@ def sweep(
     chain = sweep_chain(g, argument_id, _grid(start, stop, steps))
     if as_csv:
         matrix = evaluate_chain(chain, sem)
-        click.echo(export_strengths_csv(matrix), nl=False)
+        _echo(export_strengths_csv(matrix), nl=False)
         return
     document = serialize_chain(chain)
     if out_path is None:
-        click.echo(document, nl=False)
+        _echo(document, nl=False)
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as out:
@@ -245,18 +223,212 @@ def sweep(
                     out.write(document[offset : offset + _WRITE_SLICE])
         except OSError as exc:
             _fail(f"cannot write {out_path}: {exc}")
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
 
 
-@main.command()
-@click.argument("chain_path")
-@_topics_option
-@click.option("--threshold", required=True, type=float)
-@_semantics_option
 def curve(chain_path: str, topics: str, threshold: float, semantics_name: str) -> None:
     """Print the safety-curve / fairness-line breakpoints as CSV."""
     matrix, query = _query(chain_path, topics, threshold, semantics_name)
-    click.echo(export_curve_csv(fairness_report(matrix, query)), nl=False)
+    _echo(export_curve_csv(fairness_report(matrix, query)), nl=False)
+
+
+# -- the command line --------------------------------------------------------
+
+
+class _Option(NamedTuple):
+    """One ``--name`` option of a subcommand; its value is passed as ``dest``."""
+
+    name: str
+    dest: str
+    kind: object = str  # str, float, int, bool for a flag, or a tuple of choices
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+
+class _Command(NamedTuple):
+    """A subcommand: its function, called with the positional path and the options."""
+
+    run: Callable[..., None]
+    positional: str
+    summary: str
+    options: tuple[_Option, ...]
+
+
+_SEMANTICS = _Option("--semantics", "semantics_name", default="dfquad", help="Semantics to evaluate with.")
+_TOPICS = _Option("--topics", "topics", required=True, help="Comma-separated topic argument ids.")
+_THRESHOLD = _Option(
+    "--threshold", "threshold", float, required=True, help="Justification threshold in [0, 1]."
+)
+
+_COMMANDS = {
+    "validate": _Command(
+        validate, "chain_path", "Check a chain document and classify the chain.", ()
+    ),
+    "eval": _Command(
+        eval_cmd, "qbag_path", "Print final strengths of a single graph.", (_SEMANTICS,)
+    ),
+    "analyze": _Command(
+        analyze,
+        "chain_path",
+        "Run safety, liveness, and fairness checks on a chain.",
+        (
+            _TOPICS,
+            _THRESHOLD,
+            _Option("--checks", "checks", ("safety", "liveness", "fairness", "all"), "all"),
+            _SEMANTICS,
+            _Option("--format", "fmt", ("text", "structured", "csv"), "text"),
+        ),
+    ),
+    "sweep": _Command(
+        sweep,
+        "qbag_path",
+        "Generate (and optionally evaluate) an initial-strength sweep chain.",
+        (
+            _Option("--argument", "argument_id", required=True, help="Argument whose strength varies."),
+            _Option("--from", "start", float, required=True, help="First strength of the sweep."),
+            _Option("--to", "stop", float, required=True, help="Last strength of the sweep."),
+            _Option(
+                "--steps", "steps", int, required=True,
+                help=f"Number of grid points, 1 to {MAX_SWEEP_STEPS}.",
+            ),
+            _Option("--out", "out_path", help="Write the chain document here instead of stdout."),
+            _Option("--csv", "as_csv", bool, False, help="Evaluate the sweep and print the strength CSV."),
+            _SEMANTICS,
+        ),
+    ),
+    "curve": _Command(
+        curve,
+        "chain_path",
+        "Print the safety-curve / fairness-line breakpoints as CSV.",
+        (_TOPICS, _THRESHOLD, _SEMANTICS),
+    ),
+}
+_SUMMARY = "Evaluate argumentation graphs and analyze dialogue chains."
+_HELP = _Option("--help", "help", bool)
+_TYPE_NAMES = {str: "TEXT", float: "FLOAT", int: "INTEGER", bool: ""}
+
+
+def _usage(where: str, problem: str) -> None:
+    """A usage error: one line on stderr, exit 2."""
+    _fail(f"Error: {problem}. Try '{where} --help'.")
+
+
+def _help(usage: str, summary: str, heading: str, rows: list[tuple[str, str]]) -> None:
+    """Print help, with the rows in two columns, to stdout and exit 0."""
+    width = max(len(left) for left, _ in rows)
+    table = "\n".join(f"  {left:<{width}}  {right}".rstrip() for left, right in rows)
+    _echo(f"Usage: {usage}\n\n{summary}\n\n{heading}:\n{table}")
+    sys.exit(0)
+
+
+def _command_help(where: str, command: _Command) -> None:
+    rows = []
+    for option in command.options:
+        kind = option.kind
+        value = f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _TYPE_NAMES[kind]
+        notes = [option.help] if option.help else []
+        if option.required:
+            notes.append("[required]")
+        elif option.default not in (None, False):
+            notes.append(f"[default: {option.default}]")
+        rows.append((f"{option.name} {value}".rstrip(), "  ".join(notes)))
+    rows.append(("-h, --help", "Show this message and exit."))
+    usage = f"{where} {command.positional.upper()} [OPTIONS]"
+    _help(usage, command.summary, "Options", rows)
+
+
+def _parse(where: str, command: _Command, tokens: list[str]) -> tuple[str, dict[str, object]]:
+    """The positional path and the keyword options a subcommand's tokens give.
+
+    An unknown option, a flag given a value or an option missing its value
+    is a usage error as soon as it is met; help, asked for anywhere else,
+    comes before the positional, required and type checks.
+    """
+    options = {option.name: option for option in command.options}
+    options["-h"] = options["--help"] = _HELP
+    given: dict[str, object] = {}
+    positional: list[str] = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--":
+            positional.extend(tokens)
+            break
+        if token[:1] != "-" or token == "-":
+            positional.append(token)
+            continue
+        name, has_value, value = token.partition("=")
+        option = options.get(name)
+        if option is None:
+            _usage(where, f"No such option {name!r}")
+        elif option.kind is bool:
+            if has_value:
+                _usage(where, f"Option {name!r} does not take a value")
+            given[option.dest] = True
+        elif has_value:
+            given[option.dest] = value
+        else:
+            value = next(tokens, None)
+            if value is None:
+                _usage(where, f"Option {name!r} requires an argument")
+            given[option.dest] = value
+    if given.pop(_HELP.dest, False):
+        _command_help(where, command)
+    if not positional:
+        _usage(where, f"Missing argument {command.positional.upper()!r}")
+    if len(positional) > 1:
+        _usage(where, f"Got unexpected extra argument {positional[1]!r}")
+    values: dict[str, object] = {}
+    for option in command.options:
+        if option.dest not in given:
+            if option.required:
+                _usage(where, f"Missing option {option.name!r}")
+            values[option.dest] = option.default
+            continue
+        value, kind = given[option.dest], option.kind
+        if isinstance(kind, tuple):
+            if value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _usage(where, f"Invalid value for {option.name!r}: {value!r} is not one of {choices}")
+        elif kind is not bool:
+            try:
+                value = kind(value)
+            except ValueError:
+                problem = f"{value!r} is not a valid {_TYPE_NAMES[kind].lower()}"
+                _usage(where, f"Invalid value for {option.name!r}: {problem}")
+        values[option.dest] = value
+    return positional[0], values
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line, ``sys.argv[1:]`` by default.
+
+    Always ends in SystemExit: 0 on success, 2 on a usage or input problem.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "qbag"
+    if args[:1] == ["--"]:
+        args = args[1:]
+    elif args[:1] in (["-h"], ["--help"]):
+        rows = [(name, command.summary) for name, command in _COMMANDS.items()]
+        _help(f"{prog} COMMAND [ARGS]...", _SUMMARY, "Commands", rows)
+    if not args:
+        _usage(prog, "Missing command")
+    name, *tokens = args
+    command = _COMMANDS.get(name)
+    if command is None:
+        _usage(prog, f"No such command {name!r}")
+    where = f"{prog} {name}"
+    path, options = _parse(where, command, tokens)
+    try:
+        command.run(path, **options)
+    except QbagError as exc:
+        _fail(f"{type(exc).__name__}: {exc}")
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered nowhere, without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ class QbagError(ValueError):
 
 
 class InvalidArgumentId(QbagError):
-    """Argument id is empty or contains whitespace or a comma."""
+    """Argument id is empty or contains whitespace, a comma or a lone surrogate."""
 
 
 class DuplicateArgument(QbagError):

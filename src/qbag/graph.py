@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
@@ -32,8 +31,50 @@ from .errors import (
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True, eq=True)
-class QBAG:
+# object.__setattr__ sets a field of a record, past its frozen __setattr__
+_set_field = object.__setattr__
+
+
+class _Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` makes one.
+
+    A subclass declares its fields as class annotations and sets each of
+    them in its own ``__init__`` with :data:`_set_field`; a generic
+    ``__init__`` would cost about half as much again per record.
+    Afterwards, assigning or deleting an attribute raises AttributeError.
+    Records are equal when their types and field values are, hash as the
+    tuple of their field values, and have the dataclass ``repr``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QBAG(_Record):
     """Arguments with initial strengths plus attack and support relations.
 
     Immutable: the fields are not reassignable, and ``tau`` is stored as
@@ -49,8 +90,13 @@ class QBAG:
     att: frozenset[Edge]
     supp: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
+    def __init__(
+        self, args: frozenset[str], tau: Mapping[str, float], att: frozenset[Edge], supp: frozenset[Edge]
+    ) -> None:
+        _set_field(self, "args", args)
+        _set_field(self, "tau", MappingProxyType(dict(tau)))
+        _set_field(self, "att", att)
+        _set_field(self, "supp", supp)
 
     def __hash__(self) -> int:
         return hash((self.args, self.att, self.supp))
@@ -60,6 +106,10 @@ class QBAG:
             f"QBAG(args={sorted(self.args)}, "
             f"att={sorted(self.att)}, supp={sorted(self.supp)})"
         )
+
+    def __reduce__(self) -> tuple:
+        # the read-only view of tau does not pickle; the constructor makes a new one
+        return QBAG, (self.args, dict(self.tau), self.att, self.supp)
 
 
 def validate_strength(value: float, owner: str = "strength") -> float:
@@ -73,15 +123,18 @@ def validate_strength(value: float, owner: str = "strength") -> float:
     return value
 
 
-# \s in a str pattern matches exactly the characters str.isspace() accepts
-_FORBIDDEN_IN_ID = re.compile(r"[\s,]")
+# \s in a str pattern matches exactly the characters str.isspace() accepts;
+# a lone surrogate cannot be written as UTF-8, so no output could name it
+_FORBIDDEN_IN_ID = re.compile(r"[\s,\ud800-\udfff]")
 
 
 def validate_argument_id(arg: object) -> str:
     if not isinstance(arg, str) or not arg:
         raise InvalidArgumentId(f"argument id must be a non-empty string, got {arg!r}")
-    if _FORBIDDEN_IN_ID.search(arg):
-        raise InvalidArgumentId(f"argument id {arg!r} contains whitespace or a comma")
+    found = _FORBIDDEN_IN_ID.search(arg)
+    if found:
+        what = "a lone surrogate" if "\ud800" <= found[0] <= "\udfff" else "whitespace or a comma"
+        raise InvalidArgumentId(f"argument id {arg!r} contains {what}")
     return arg
 
 

@@ -16,15 +16,13 @@ a linear interpolation from the initial strength towards 0 or 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import StrengthOutOfRange, UnknownSemantics
-from .graph import QBAG, _Index, _index, _ordered
+from .graph import QBAG, _Index, _index, _ordered, _Record, _set_field
 
 
-@dataclass(frozen=True)
-class SemanticsDescriptor:
+class SemanticsDescriptor(_Record):
     """Named pair of aggregation and influence functions.
 
     Both must be pure functions of their arguments: the same inputs give
@@ -37,9 +35,18 @@ class SemanticsDescriptor:
     aggregation: Callable[[Sequence[float], Sequence[float]], float]
     influence: Callable[[float, float], float]
 
+    def __init__(
+        self,
+        name: str,
+        aggregation: Callable[[Sequence[float], Sequence[float]], float],
+        influence: Callable[[float, float], float],
+    ) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "aggregation", aggregation)
+        _set_field(self, "influence", influence)
 
-@dataclass(frozen=True)
-class StrengthAssignment:
+
+class StrengthAssignment(_Record):
     """Final strength per argument of one evaluated graph.
 
     :func:`evaluate` and :func:`qbag.chain.evaluate_chain` key ``values``
@@ -47,6 +54,9 @@ class StrengthAssignment:
     """
 
     values: Mapping[str, float]
+
+    def __init__(self, values: Mapping[str, float]) -> None:
+        _set_field(self, "values", values)
 
     def __getitem__(self, x: str) -> float:
         return self.values[x]

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from qbag import (
     SLFQuery,
@@ -41,6 +40,7 @@ from qbag.cli import main as cli_main
 from .cases import dialogue, sweep_dialogue
 from .oracles import alternation_oracle, oracle_evaluate, trapezoid_area_oracle
 from .randgen import NAMES, random_acyclic_qbag, random_chain, random_query, random_weak_chain
+from .runner import CliRunner
 
 
 def _ok(number: int, label: str) -> None:

@@ -8,16 +8,24 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import qbag.chain
-from qbag import common_arguments, parse_chain, serialize_chain, serialize_qbag, sweep_chain
+from qbag import (
+    build_chain,
+    build_qbag,
+    common_arguments,
+    parse_chain,
+    serialize_chain,
+    serialize_qbag,
+    sweep_chain,
+)
 from qbag import cli
 from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
+from .runner import CliRunner
 from .strategies import (
     chains,
     evolving_chains,
@@ -633,3 +641,175 @@ class TestValidateWork:
         assert result.exit_code == 0
         assert result.stdout.count(": acyclic") == 10
         assert calls == [len(sweep_base().args)]
+
+
+def _qbag_document(tmp_path, ids, name="graph.json"):
+    """A qbag document of edgeless arguments at 0.5, written as UTF-8 JSON."""
+    doc = {
+        "format_version": "1",
+        "kind": "qbag",
+        "arguments": [{"id": x, "initial": 0.5} for x in ids],
+        "attacks": [],
+        "supports": [],
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+_QUERY = ["--topics", "a", "--threshold", "0.2"]
+_SWEEP = ["--argument", "f", "--from", "0", "--to", "1"]
+
+
+class TestCommandLine:
+    """Usage errors are one line; every form the parser accepts is pinned."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["--bogus"],
+            ["eval"],
+            ["eval", "{chain}", "extra"],
+            ["eval", "{chain}", "--bogus"],
+            ["eval", "{chain}", "--semantics"],
+            ["analyze", "{chain}", "--threshold", "0.2"],
+            ["analyze", "{chain}", "--topics", "a", "--threshold"],
+            ["analyze", "{chain}", "--topics", "a", "--threshold", "abc"],
+            ["analyze", "{chain}", *_QUERY, "--checks", "most"],
+            ["analyze", "{chain}", *_QUERY, "--format", "a\nb"],
+            ["analyze", "{chain}", *_QUERY, "--help=yes"],
+            ["sweep", "{sweep}", *_SWEEP, "--steps", "1.5"],
+            ["sweep", "{sweep}", *_SWEEP, "--steps", "3", "--csv=yes"],
+            ["sweep", "{sweep}", *_SWEEP],
+            ["curve", "{chain}", "-0.5", *_QUERY],
+        ],
+        ids=repr,
+    )
+    def test_usage_error_is_one_line(self, runner, chain_path, sweep_path, argv):
+        argv = [a.format(chain=chain_path, sweep=sweep_path) for a in argv]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.exception
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("Error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], *([name, flag] for name in cli._COMMANDS for flag in ("-h", "--help"))],
+        ids=" ".join,
+    )
+    def test_help_exits_zero_and_names_every_choice(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        commands = cli._COMMANDS if len(argv) == 1 else {argv[0]: cli._COMMANDS[argv[0]]}
+        for name, command in commands.items():
+            assert name in result.stdout
+            if len(argv) == 2:
+                for option in command.options:
+                    assert option.name in result.stdout
+
+    def test_help_after_other_options_wins(self, runner, chain_path):
+        result = runner.invoke(main, ["analyze", chain_path, "--threshold", "abc", "-h"])
+        assert result.exit_code == 0
+        assert "--threshold" in result.stdout
+
+    def test_option_value_may_begin_with_a_dash(self, runner, tmp_path):
+        path = tmp_path / "dash.json"
+        g = build_qbag([("-a", 0.5), ("b", 0.9)], attacks=[("b", "-a")])
+        path.write_text(serialize_chain(build_chain([g, g])), encoding="utf-8")
+        result = runner.invoke(main, ["analyze", str(path), "--topics", "-a", "--threshold", "0.5"])
+        assert result.exit_code == 0, result.stderr
+        assert "fluctuations[-a]: 0" in result.stdout
+
+    @pytest.mark.parametrize(
+        ("given", "same_as"),
+        [
+            (["--threshold=0.5"], ["--threshold", "0.5"]),
+            (["--threshold", "0.9", "--threshold", "0.5"], ["--threshold", "0.5"]),
+            (["--threshold", "abc", "--threshold", "0.5"], ["--threshold", "0.5"]),
+            (["--threshold", "0.5", "--", "{chain}"], ["--threshold", "0.5", "{chain}"]),
+            (["--topics=a,b", "--threshold", "0.5"], ["--topics", "a,b", "--threshold", "0.5"]),
+        ],
+        ids=["equals", "repeated", "repeated-bad-first", "double-dash", "equals-topics"],
+    )
+    def test_accepted_forms_match_the_plain_form(self, runner, chain_path, given, same_as):
+        def run(options):
+            options = [o.format(chain=chain_path) for o in options]
+            if chain_path not in options:
+                options = [chain_path, *options]
+            argv = ["analyze", "--topics", "a,b,c", *options]
+            return runner.invoke(main, argv)
+
+        result, expected = run(given), run(same_as)
+        assert result.exit_code == expected.exit_code == 0
+        assert result.stdout_bytes == expected.stdout_bytes
+
+    def test_negative_zero_is_a_value_not_an_option(self, runner, sweep_path):
+        result = runner.invoke(
+            main, ["sweep", sweep_path, "--argument", "f", "--from", "-0.0", "--to", "1", "--steps", "1"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert [g.tau["f"] for g in parse_chain(result.stdout)] == [-0.0]
+
+    def test_double_dash_before_the_path(self, runner, qbag_path):
+        plain = runner.invoke(main, ["eval", qbag_path])
+        assert runner.invoke(main, ["eval", "--", qbag_path]).stdout_bytes == plain.stdout_bytes
+        assert runner.invoke(main, ["--", "eval", qbag_path]).stdout_bytes == plain.stdout_bytes
+
+    def test_lone_surrogate_id_exits_2_on_one_line(self, runner, tmp_path):
+        result = runner.invoke(main, ["eval", _qbag_document(tmp_path, ["a", "\ud800"])])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == (
+            "InvalidArgumentId: document: argument id '\\ud800' contains a lone surrogate\n"
+        )
+
+    def test_lone_surrogate_in_a_later_step_exits_2(self, runner, tmp_path):
+        # the second step extends the first, so the id is met on the extension path
+        step = {"arguments": [{"id": "a", "initial": 0.5}], "attacks": [], "supports": []}
+        grown = {**step, "arguments": [*step["arguments"], {"id": "b\udfff", "initial": 0.5}]}
+        path = tmp_path / "chain.json"
+        doc = {"format_version": "1", "kind": "chain", "steps": [step, grown]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            "InvalidArgumentId: steps[1]: argument id 'b\\udfff' contains a lone surrogate"
+        ]
+
+    def test_ids_are_written_verbatim(self, runner, tmp_path):
+        # escape sequences in an id are written as they are, terminal or not
+        result = runner.invoke(main, ["eval", _qbag_document(tmp_path, ["a\x1b[0m", "b"])])
+        assert result.exit_code == 0
+        assert result.stdout == "a\x1b[0m=0.5 b=0.5\n"
+
+
+def _run_module(code_or_args, env_extra=None):
+    """Run python with src on the path: ``-c code`` for a str, ``-m qbag.cli args`` for a list."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **(env_extra or {})}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    command = ["-c", code_or_args] if isinstance(code_or_args, str) else ["-m", "qbag.cli", *code_or_args]
+    return subprocess.run([sys.executable, *command], capture_output=True, env=env, check=False)
+
+
+class TestStartup:
+    def test_import_loads_neither_click_nor_dataclasses(self):
+        # modules the interpreter loaded before the import do not count
+        run = _run_module(
+            "import sys; before = set(sys.modules); import qbag.cli; "
+            "print(sorted({'click', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == b"[]\n"
+
+    def test_ascii_streams_still_get_utf8(self, tmp_path):
+        path = _qbag_document(tmp_path, ["ä", "b"])
+        env = {"PYTHONIOENCODING": "ascii"}
+        run = _run_module(["eval", path], env)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "b=0.5 ä=0.5\n".encode(), b"")
+        run = _run_module(["eval", path, "--semantics", "ä"], env)
+        assert run.returncode == 2
+        assert run.stderr.decode("utf-8").startswith("UnknownSemantics: unknown semantics 'ä'")

@@ -1,20 +1,33 @@
-"""Structure, validation, and ordering of single graphs."""
+"""Structure, validation, and ordering of single graphs, and the record contract."""
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qbag import (
+    DFQUAD,
     QBAG,
     CyclicGraph,
     DanglingEndpoint,
     DuplicateArgument,
+    EmptyChain,
+    EmptyTopicSet,
     InvalidArgumentId,
     RelationOverlap,
+    SLFQuery,
+    StrengthMatrix,
     StrengthOutOfRange,
     UnknownArgument,
     attackers,
     build_qbag,
+    evaluate,
+    evaluate_chain,
+    fairness_line,
+    fairness_report,
     is_acyclic,
     is_sub_qbag,
     reaches,
@@ -27,7 +40,7 @@ from qbag import (
 )
 from qbag.graph import _index
 
-from .cases import dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
+from .cases import dialogue, dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
 from .oracles import oracle_index
 from .strategies import acyclic_qbags, arbitrary_qbags, exotic_qbags
 
@@ -68,15 +81,19 @@ class TestBuild:
             with pytest.raises(InvalidArgumentId):
                 build_qbag([(bad, 0.5)])
 
-    def test_id_rule_is_isspace_plus_comma(self):
-        # every code point str.isspace() rejects, plus the comma, is refused;
-        # one id holding every other code point is accepted
+    def test_id_rule_is_isspace_comma_and_surrogates(self):
+        # every code point str.isspace() rejects, the comma, and every lone
+        # surrogate (no UTF-8 output can hold one) is refused; one id
+        # holding every other code point is accepted
         everything = [chr(code) for code in range(0x110000)]
-        forbidden = [ch for ch in everything if ch.isspace() or ch == ","]
-        for ch in forbidden:
+
+        def refused(ch):
+            return ch.isspace() or ch == "," or "\ud800" <= ch <= "\udfff"
+
+        for ch in filter(refused, everything):
             with pytest.raises(InvalidArgumentId):
                 build_qbag([(f"a{ch}b", 0.5)])
-        allowed = "".join(ch for ch in everything if not (ch.isspace() or ch == ","))
+        allowed = "".join(ch for ch in everything if not refused(ch))
         assert build_qbag([(allowed, 0.5)]).args == {allowed}
 
     def test_dangling_reports_least_pair_attacks_first(self):
@@ -308,3 +325,106 @@ class TestTopologicalOrder:
     @given(acyclic_qbags())
     def test_deterministic(self, g):
         assert topological_order(g) == topological_order(g)
+
+
+def _records():
+    """One value of every record class, by class name."""
+    matrix = evaluate_chain(dialogue())
+    query = SLFQuery(topics=frozenset("abc"), threshold=0.2)
+    records = [
+        dialogue_step3(),
+        dialogue(),
+        matrix,
+        DFQUAD,
+        evaluate(dialogue_step3()),
+        query,
+        fairness_line(matrix, query),
+        fairness_report(matrix, query),
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+RECORD_NAMES = [
+    "QBAG", "Chain", "StrengthMatrix", "SemanticsDescriptor",
+    "StrengthAssignment", "SLFQuery", "FairnessLine", "FairnessReport",
+]
+
+
+class TestRecordContract:
+    """Every record keeps the contract of the frozen dataclass it replaced."""
+
+    @staticmethod
+    def as_dataclass(record):
+        """The frozen dataclass with the record's name, fields and values."""
+        fields = type(record).__match_args__
+        cls = dataclasses.make_dataclass(type(record).__name__, fields, frozen=True)
+        return cls(*(getattr(record, name) for name in fields))
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        record = _records()[name]
+        field = type(record).__match_args__[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            record.extra = 1
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_positional_and_keyword_construction_agree(self, name):
+        record = _records()[name]
+        fields = type(record).__match_args__
+        values = [getattr(record, f) for f in fields]
+        assert type(record)(*values) == type(record)(**dict(zip(fields, values))) == record
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_equality_is_by_type_and_fields(self, name):
+        record, twin = _records()[name], _records()[name]
+        assert record == twin and not record != twin
+        assert record != self.as_dataclass(record)
+        assert record != object()
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_hash_and_repr_match_the_dataclass(self, name):
+        record = _records()[name]
+        model = self.as_dataclass(record)
+        if name == "QBAG":  # its own hash and repr: structure only, sorted
+            assert hash(record) == hash((record.args, record.att, record.supp))
+            assert repr(record).startswith("QBAG(args=['a', 'b', 'c', 'd', 'e'], att=")
+            return
+        assert repr(record) == repr(model)
+        try:
+            expected = hash(model)
+        except TypeError:  # a dict field: unhashable, as before
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected == hash(_records()[name])
+
+    def test_repr_names_every_field(self):
+        query = SLFQuery(topics=frozenset({"a"}), threshold=0.5)
+        assert repr(query) == "SLFQuery(topics=frozenset({'a'}), threshold=0.5)"
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_copy_and_pickle_give_an_equal_value(self, name):
+        record = _records()[name]
+        assert vars(record).keys() == set(type(record).__match_args__)
+        for duplicate in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(duplicate) is type(record)
+            assert duplicate == record
+        rebuilt = pickle.loads(pickle.dumps(record))
+        if name == "QBAG":
+            with pytest.raises(TypeError):  # still read-only
+                rebuilt.tau["a"] = 1.0
+
+    def test_checks_run_on_construction(self):
+        with pytest.raises(EmptyTopicSet):
+            SLFQuery(topics=frozenset(), threshold=0.5)
+        with pytest.raises(StrengthOutOfRange):
+            SLFQuery(topics=frozenset("a"), threshold=1.5)
+        with pytest.raises(EmptyChain):
+            StrengthMatrix(rows=())
+        tau = {"a": 0.5}
+        g = QBAG(args=frozenset(tau), tau=tau, att=frozenset(), supp=frozenset())
+        assert type(g.tau) is not dict and g.tau == tau
