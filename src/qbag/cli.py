@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .analysis import (
     SLFQuery,
@@ -36,6 +36,7 @@ from .analysis import (
     is_weakly_safe,
 )
 from .chain import (
+    Chain,
     _acyclic_steps,
     evaluate_chain,
     is_expansion_chain,
@@ -47,40 +48,41 @@ from .errors import QbagError
 from .semantics import evaluate, semantics_by_name
 from .serialize import (
     _SCORE_PLACES,
+    _chain_parts,
+    _parse_canonical,
+    _strength_rows,
     export_curve_csv,
-    export_strengths_csv,
     parse_chain,
     parse_qbag,
     report_to_dict,
-    serialize_chain,
 )
 
 # a sweep chain is built whole in memory, so the grid is capped
 MAX_SWEEP_STEPS = 1_000_000
-# sweep --out encodes the document a slice at a time, never into a whole second copy
-_WRITE_SLICE = 1 << 20
+# characters per read of a chain file, which is decoded a window of whole steps at a time
+_READ_CHUNK = 1 << 16
 
 
-def _echo(message: str, err: bool = False, nl: bool = True) -> None:
-    """Write a message to stdout or stderr and flush it.
+def _emit(texts: Iterable[str], err: bool = False) -> None:
+    """Write each text to stdout or stderr as it comes, then flush.
 
     A stream whose encoding is ASCII is taken to be misconfigured: the
-    message goes to its byte buffer in UTF-8 instead, so ids outside
-    ASCII print the same bytes whatever the locale says.
+    texts go to its byte buffer in UTF-8 instead, so ids outside ASCII
+    print the same bytes whatever the locale says.
     """
     stream = sys.stderr if err else sys.stdout
     if stream is None:  # the process started with that descriptor closed
         return
-    if nl:
-        message += "\n"
     buffer = getattr(stream, "buffer", None)
     if buffer is not None and codecs.lookup(stream.encoding or "ascii").name == "ascii":
         stream.flush()
-        buffer.write(message.encode("utf-8", "replace"))
-        buffer.flush()
-    else:
-        stream.write(message)
-        stream.flush()
+        stream, texts = buffer, (text.encode("utf-8", "replace") for text in texts)
+    stream.writelines(texts)
+    stream.flush()
+
+
+def _echo(message: str, err: bool = False) -> None:
+    _emit((message + "\n",), err)
 
 
 def _fail(message: str) -> None:
@@ -88,16 +90,37 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
+def _shown(path: str) -> str:
+    """The path with its control and line-break characters escaped, for one line."""
+    controls = (*range(32), *range(127, 160), 0x2028, 0x2029)
+    return path.translate({c: ascii(chr(c))[1:-1] for c in controls})
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        _fail(f"cannot read {path}: {exc}")
+        _fail(f"cannot read {_shown(path)}: {exc}")
+
+
+def _read_chain(path: str) -> Chain:
+    """The chain document at path, read in chunks and decoded a step at a time.
+
+    At any doubt the whole file is read again for parse_chain, which gives
+    every error; a pipe, which cannot be read twice, goes there at once.
+    """
+    try:
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8") as file:
+                return _parse_canonical(iter(lambda: file.read(_READ_CHUNK), ""))
+    except Exception:  # off the layout, invalid or unreadable: the whole-file path decides
+        pass
+    return parse_chain(_read_text(path))
 
 
 def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
     """The strength matrix of the chain document and the query the options give."""
-    chain = parse_chain(_read_text(chain_path))
+    chain = _read_chain(chain_path)
     matrix = evaluate_chain(chain, semantics_by_name(semantics_name))
     ids = [t for t in topics.split(",") if t]
     if not ids:
@@ -123,7 +146,7 @@ def _yesno(flag: bool) -> str:
 
 def validate(chain_path: str) -> None:
     """Check a chain document and classify the chain."""
-    chain = parse_chain(_read_text(chain_path))
+    chain = _read_chain(chain_path)
     verdicts = _acyclic_steps(chain)
     for i, acyclic in enumerate(verdicts, start=1):
         _echo(f"step {i}: {'acyclic' if acyclic else 'cyclic'}")
@@ -210,26 +233,25 @@ def sweep(
         _fail(f"sweep range [{start}, {stop}] outside [0, 1]")
     chain = sweep_chain(g, argument_id, _grid(start, stop, steps))
     if as_csv:
-        matrix = evaluate_chain(chain, sem)
-        _echo(export_strengths_csv(matrix), nl=False)
+        # evaluated whole first, so an evaluation error leaves stdout empty
+        _emit(_strength_rows(evaluate_chain(chain, sem)))
         return
-    document = serialize_chain(chain)
+    step_texts = map("".join, _chain_parts(chain))
     if out_path is None:
-        _echo(document, nl=False)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as out:
-                for offset in range(0, len(document), _WRITE_SLICE):
-                    out.write(document[offset : offset + _WRITE_SLICE])
-        except OSError as exc:
-            _fail(f"cannot write {out_path}: {exc}")
-        _echo(f"wrote {out_path}")
+        _emit(step_texts)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as out:
+            out.writelines(step_texts)
+    except OSError as exc:
+        _fail(f"cannot write {_shown(out_path)}: {exc}")
+    _echo(f"wrote {out_path}")
 
 
 def curve(chain_path: str, topics: str, threshold: float, semantics_name: str) -> None:
     """Print the safety-curve / fairness-line breakpoints as CSV."""
     matrix, query = _query(chain_path, topics, threshold, semantics_name)
-    _echo(export_curve_csv(fairness_report(matrix, query)), nl=False)
+    _emit((export_curve_csv(fairness_report(matrix, query)),))
 
 
 # -- the command line --------------------------------------------------------

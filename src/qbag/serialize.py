@@ -21,11 +21,13 @@ bytes.  parse(serialize(v)) returns a structurally equal value.
 A chain document in that canonical layout is decoded block by block:
 the envelope and key lines are matched as text, and a block decodes only
 the entries that the same block of the previous step did not have, so a
-block that repeats the previous step's text is not decoded at all.  Any
-other valid JSON, and any document with an error, goes through
-json.loads of the whole text; it parses to the same value or raises the
-same error.  Likewise, a step that keeps the previous step's structure
-is serialized by rendering only the strengths that changed.
+block that repeats the previous step's text is not decoded at all.  The
+text may come in chunks, such as the reads of a file; the decoder then
+holds only the whole steps read so far.  Any other valid JSON, and any
+document with an error, goes through json.loads of the whole text; it
+parses to the same value or raises the same error.  Likewise, a chain
+document and the CSV table of strengths are produced a step at a time,
+and a step renders only the strengths that changed from the step before.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 from fractions import Fraction
 from itertools import compress
 from operator import is_not
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
@@ -193,18 +195,14 @@ def parse_chain(text: str) -> Chain:
 
     A document in the canonical layout is decoded block by block, and a
     block decodes only the entries that the same block of the previous
-    step did not have.  Any other document, and any document with an
-    error, is parsed whole by ``json.loads``; that path gives the same
-    value, and reports the first error in the documented precedence.
+    step did not have.  The same decoder reads a file in chunks, one
+    step at a time, for the command line.  Any other document, and any
+    document with an error, is parsed whole by ``json.loads``; that path
+    gives the same value, and reports the first error in the documented
+    precedence.
     """
     try:
-        qbags = []
-        step = None
-        for entries, attacks, supports in _canonical_steps(text):
-            ids, values = zip(*entries) if entries else ((), ())
-            step = _step(step, "", ids, values, attacks, supports, False)
-            qbags.append(step.graph)
-        return build_chain(qbags)
+        return _parse_canonical((text,))
     except Exception:  # off the layout or invalid: the general path decides
         pass
     data = _load_document(text, "chain")
@@ -227,7 +225,8 @@ def parse_chain(text: str) -> Chain:
 # The text around the values of a canonical chain document; serialize_chain
 # writes the envelope and step separators from the same constants.
 _CHAIN_OPEN = '{\n  "format_version": "1",\n  "kind": "chain",\n  "steps": [\n'
-_STEP_OPEN = '    {\n      "arguments": '
+_STEP_BRACE = "    {\n"
+_STEP_OPEN = _STEP_BRACE + '      "arguments": '
 _ATTACKS_KEY = ',\n      "attacks": '
 _SUPPORTS_KEY = ',\n      "supports": '
 _STEP_CLOSE = "\n    }"
@@ -351,14 +350,44 @@ class _Blocks:
         return items
 
 
-def _canonical_steps(text: str) -> Iterator[tuple[list, list, list]]:
+# The text between two steps, and only there in a canonical document: a
+# JSON string holds no raw newline, and a block's lines are indented further.
+_STEP_BOUNDARY = _STEP_CLOSE + _STEP_SEPARATOR + _STEP_BRACE
+
+
+def _windows(chunks: Iterable[str]) -> Iterator[tuple[str, int | None]]:
+    """The chunks as (text, end): text runs from the last end to the last chunk.
+
+    end follows the last step separator in text, and is None at the end of
+    the input.  Only new text is searched, and chunks wait in a list until
+    it holds a boundary, so each character is copied and searched O(1) times.
+    """
+    pending: list[str] = []
+    tail = ""
+    for chunk in chunks:
+        seen = tail + chunk
+        tail = seen[1 - len(_STEP_BOUNDARY) :]
+        pending.append(chunk)
+        found = seen.rfind(_STEP_BOUNDARY)
+        if found >= 0:
+            text = "".join(pending)
+            end = found + len(text) - len(seen) + len(_STEP_CLOSE + _STEP_SEPARATOR)
+            yield text, end
+            pending = [text[end:]]
+    yield "".join(pending), None
+
+
+def _canonical_steps(chunks: Iterable[str]) -> Iterator[tuple[list, list, list]]:
     """The argument entries, attacks and supports of each step of a canonical chain.
 
-    The envelope and the key lines are matched as literal text and only
-    the blocks between them are decoded, one step at a time, so the
-    whole document is never held as one tree.  Raises at the first byte
-    outside the layout, and at any value that is not flat.
+    The text comes in chunks of any size.  The envelope and the key lines
+    are matched as literal text and only the blocks between them are
+    decoded, one step at a time, so the whole document is never held as
+    one tree, nor, when it comes in chunks, as one text.  Raises at the
+    first byte outside the layout, and at any value that is not flat.
     """
+    windows = _windows(chunks)
+    text, end = next(windows)
     pos = _skip(text, 0, _CHAIN_OPEN)
     arguments = _Blocks("{}", _entries)
     attacks = _Blocks("[]", _parse_edges)
@@ -371,8 +400,22 @@ def _canonical_steps(text: str) -> Iterator[tuple[list, list, list]]:
         if not text.startswith(_STEP_SEPARATOR, pos):
             break
         pos += len(_STEP_SEPARATOR)
-    if _skip(text, pos, _CHAIN_CLOSE) != len(text):
+        if pos == end:
+            text, end = next(windows)
+            pos = 0
+    if _skip(text, pos, _CHAIN_CLOSE) != len(text) or next(windows, None) is not None:
         raise _OffLayout(pos)
+
+
+def _parse_canonical(chunks: Iterable[str]) -> Chain:
+    """The chain of a canonical document's chunks; raises at the first doubt."""
+    qbags = []
+    step = None
+    for entries, attacks, supports in _canonical_steps(chunks):
+        ids, values = zip(*entries) if entries else ((), ())
+        step = _step(step, "", ids, values, attacks, supports, False)
+        qbags.append(step.graph)
+    return build_chain(qbags)
 
 
 # -- serialization ---------------------------------------------------------
@@ -457,12 +500,19 @@ def serialize_qbag(g: QBAG) -> str:
 
 
 def serialize_chain(c: Chain) -> str:
-    """The chain document, built as one list of parts and joined once."""
+    """The chain document, joined once from the parts of every step."""
+    parts: list[str] = []
+    for step in _chain_parts(c):
+        parts += step  # a list extend, cheaper per part than a chained iterator
+    return "".join(parts)
+
+
+def _chain_parts(c: Chain) -> Iterator[list[str]]:
+    """The parts of a chain document: one list per step, then the close."""
     rendered: dict = {}
-    parts = [_CHAIN_OPEN]
+    lead = _CHAIN_OPEN + _STEP_BRACE
     last = keys = None
     for g in c.steps:
-        start = len(parts)
         spliced = False
         if last is not None and g.args is last.args and g.att is last.att and g.supp is last.supp:
             # A step with the structure of the last one copies its parts and
@@ -477,18 +527,19 @@ def serialize_chain(c: Chain) -> str:
             last_values, values = values, list(g.tau.values())
             spliced = list(g.tau) == keys
         if spliced:
-            parts += parts[begin:start]
+            parts = parts.copy()  # the last list is the caller's
+            parts[0] = lead
             for slot, value in compress(zip(slots, values), map(is_not, values, last_values)):
-                parts[start + slot] = _number(value)
+                parts[slot] = _number(value)
         else:
-            parts.append("    {\n")
+            parts = [lead]
             _payload(g, "      ", rendered, parts)
-            parts += (_STEP_CLOSE, _STEP_SEPARATOR)
+            parts.append(_STEP_CLOSE)
             keys = None
-        begin = start
+        yield parts
+        lead = _STEP_SEPARATOR + _STEP_BRACE
         last = g
-    parts[-1] = _CHAIN_CLOSE  # a chain has at least one step
-    return "".join(parts)
+    yield [_CHAIN_CLOSE]
 
 
 # -- CSV export ------------------------------------------------------------
@@ -506,11 +557,27 @@ def export_strengths_csv(m: StrengthMatrix) -> str:
     row.  Rows follow the step, then the row's key order, which is
     ascending argument id for every matrix :func:`evaluate_chain` returns.
     """
-    lines = ["step,argument,final_strength"]
+    return "".join(_strength_rows(m))
+
+
+def _strength_rows(m: StrengthMatrix) -> Iterator[str]:
+    """The text of export_strengths_csv: the header, then each step's lines.
+
+    As in _chain_parts, a strength that is the same object as the last
+    step's keeps its rendered "x,value" line; only the others render.
+    """
+    yield "step,argument,final_strength\n"
+    keys = values = None
     for i, row in enumerate(m.rows, start=1):
-        for x, v in row.values.items():
-            lines.append(f"{i},{x},{_dec12(v)}")
-    return "\n".join(lines) + "\n"
+        last_values, values = values, list(row.values.values())
+        if keys is not None and list(row.values) == keys:
+            for j in compress(range(len(keys)), map(is_not, values, last_values)):
+                cells[j] = f"{keys[j]},{_dec12(values[j])}\n"
+        else:
+            keys = list(row.values)
+            cells = [f"{x},{_dec12(v)}\n" for x, v in zip(keys, values)]
+        prefix = f"{i},"
+        yield prefix + prefix.join(cells) if cells else ""
 
 
 def export_curve_csv(report: FairnessReport) -> str:

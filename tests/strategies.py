@@ -167,6 +167,46 @@ def shared_chains(draw) -> Chain:
 
 # both signed zeros, which compare equal but a semantics may tell apart
 signed_strengths = st.one_of(strengths, st.sampled_from([0.0, -0.0, 1.0]))
+
+
+def shared_step(g: QBAG, tau: dict) -> QBAG:
+    """A raw step that shares g's argument set and relations by identity."""
+    return QBAG(g.args, tau, g.att, g.supp)
+
+
+@st.composite
+def spliced_chains(draw) -> Chain:
+    """Chains whose steps share the argument set by identity, in many ways.
+
+    Sweeps over values with both signed zeros and repeats; raw steps that
+    change no, one or every strength, some of them to an int or to the
+    other zero, or that list the strengths in another key order; and
+    shared steps after a rebuilt one.
+    """
+    g = draw(st.one_of(acyclic_qbags(min_args=1), exotic_qbags().filter(lambda g: g.args)))
+    values = st.one_of(signed_strengths, st.sampled_from([0, 1]))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["sweep", "none", "one", "every", "reorder", "rebuild"]))
+        last = steps[-1] if steps else g
+        tau = dict(last.tau)
+        if kind == "sweep":
+            swept = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_size=4))
+            steps += sweep_chain(last, draw(st.sampled_from(sorted(g.args))), swept)
+            continue
+        if kind == "one":
+            tau[draw(st.sampled_from(sorted(g.args)))] = draw(values)
+        elif kind == "every":
+            tau = {x: draw(values) for x in tau}
+        elif kind == "reorder":
+            tau = dict(reversed(tau.items()))
+        elif kind == "rebuild":  # equal sets, but not the same objects
+            steps.append(build_qbag(tau.items(), last.att, last.supp))
+            continue
+        steps.append(shared_step(last, tau))
+    return build_chain(steps)
+
+
 EDITS = ("sweep", "retune", "grow", "link", "unlink", "drop", "rewire")
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,8 @@ from qbag import (
     build_chain,
     build_qbag,
     common_arguments,
+    evaluate_chain,
+    export_strengths_csv,
     parse_chain,
     serialize_chain,
     serialize_qbag,
@@ -25,6 +29,7 @@ from qbag import cli
 from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
+from .oracles import canonical_json
 from .runner import CliRunner
 from .strategies import (
     chains,
@@ -323,19 +328,28 @@ class TestSweep:
         chain = parse_chain(out.read_text(encoding="utf-8"))
         assert len(chain) == 3
 
-    @pytest.mark.parametrize("size", [1, 7, cli._WRITE_SLICE])
-    def test_file_written_in_slices_equals_the_document(
-        self, runner, sweep_path, tmp_path, monkeypatch, size
-    ):
-        monkeypatch.setattr(cli, "_WRITE_SLICE", size)
+    def test_streamed_document_equals_serialize_chain(self, runner, sweep_path, tmp_path):
+        # each step is written as it is produced, to --out and to stdout
         out = tmp_path / "out.json"
-        args = ["--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "5"]
-        result = runner.invoke(main, ["sweep", sweep_path, *args, "--out", str(out)])
+        args = ["sweep", sweep_path, "--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "5"]
+        expected = serialize_chain(sweep_chain(sweep_base(), "f", cli._grid(0.1, 0.9, 5)))
+        result = runner.invoke(main, [*args, "--out", str(out)])
         assert result.exit_code == 0
         assert result.stdout == f"wrote {out}\n"
-        expected = serialize_chain(sweep_chain(sweep_base(), "f", cli._grid(0.1, 0.9, 5)))
-        assert len(expected) > 7 * 100
         assert out.read_bytes() == expected.encode("utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == expected.encode("utf-8")
+
+    def test_streamed_csv_is_utf8_on_an_ascii_stream(self, tmp_path):
+        g = build_qbag([("ä", 0.5), ("b", 0.25)], attacks=[("b", "ä")])
+        path = tmp_path / "graph.json"
+        path.write_text(serialize_qbag(g), encoding="utf-8")
+        args = ["sweep", str(path), "--argument", "b", "--from", "0", "--to", "1", "--steps", "4"]
+        run = _run_module([*args, "--csv"], {"PYTHONIOENCODING": "ascii"})
+        expected = export_strengths_csv(evaluate_chain(sweep_chain(g, "b", cli._grid(0.0, 1.0, 4))))
+        assert "ä" in expected
+        assert (run.returncode, run.stdout, run.stderr) == (0, expected.encode("utf-8"), b"")
 
     def test_unwritable_out_path_fails(self, runner, sweep_path, tmp_path):
         args = ["--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "3"]
@@ -428,6 +442,120 @@ class TestSweep:
         )
         assert result.exit_code == 2
         assert "UnknownArgument" in result.stderr
+
+
+def _chain_file(tmp_path, content):
+    """content, a str or bytes, written to a file of tmp_path."""
+    path = tmp_path / "chain.json"
+    path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    return path
+
+
+def _whole_path_error(text):
+    """The message the whole-document parse gives for text."""
+    try:
+        parse_chain(text)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    raise AssertionError("the document parses")
+
+
+# a canonical chain document of several 64 KiB reads
+LONG_SWEEP = serialize_chain(sweep_chain(sweep_base(), "c", [i / 299 for i in range(300)]))
+
+
+class TestChainReader:
+    """validate, analyze and curve read a chain file a chunk at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, cli._READ_CHUNK])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_canonical_file_is_streamed(self, runner, tmp_path, monkeypatch, chunk, newline):
+        # a CRLF file reads as LF, as a whole-file read in text mode does
+        path = _chain_file(tmp_path, LONG_SWEEP.replace("\n", newline))
+        expected = runner.invoke(main, ["validate", str(path)])
+        assert expected.exit_code == 0
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+
+        def whole(path):
+            raise AssertionError("read whole")
+
+        monkeypatch.setattr(cli, "_read_text", whole)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert (result.exit_code, result.stdout_bytes) == (0, expected.stdout_bytes)
+        assert cli._read_chain(str(path)) == parse_chain(LONG_SWEEP)
+
+    def test_invalid_utf8_after_a_document_error_cannot_be_read(self, runner, tmp_path):
+        # steps[1] has a dangling pair; the bad byte lies in the last 64 KiB read
+        data = json.loads(LONG_SWEEP)
+        data["steps"][1]["supports"].append(["c", "z"])
+        text = canonical_json(data)
+        assert len(text) > 2 * cli._READ_CHUNK
+        path = _chain_file(tmp_path, text.encode("utf-8")[:-10] + b"\xff" + text.encode("utf-8")[-9:])
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(text) - 10}: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [LONG_SWEEP[: len(LONG_SWEEP) // 2], LONG_SWEEP + "x", LONG_SWEEP.replace('"id": "f"', '"id": "c"', 1)],
+        ids=["cut-mid-step", "trailing-bytes", "duplicate-id"],
+    )
+    def test_document_errors_are_those_of_the_whole_path(self, runner, tmp_path, text):
+        path = _chain_file(tmp_path, text)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == _whole_path_error(text)
+
+    def test_trailing_bytes_message(self, runner, tmp_path):
+        path = _chain_file(tmp_path, LONG_SWEEP + "x")
+        result = runner.invoke(main, ["validate", str(path)])
+        line = LONG_SWEEP.count("\n") + 1
+        assert result.stderr == f"DocumentError: syntax error at line {line}, column 1: Extra data\n"
+
+    def test_directory_cannot_be_read(self, runner, tmp_path):
+        result = runner.invoke(main, ["validate", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once(self, runner, tmp_path):
+        # compact JSON is off the layout; a pipe cannot be read a second time
+        text = json.dumps(json.loads(serialize_chain(dialogue())))
+        expected = runner.invoke(main, ["validate", str(_chain_file(tmp_path, text))])
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w", encoding="utf-8") as pipe:
+                pipe.write(text)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        result = runner.invoke(main, ["validate", str(fifo)])
+        writer.join(timeout=10)
+        assert (result.exit_code, result.stdout_bytes) == (0, expected.stdout_bytes)
+
+    def test_reading_holds_less_than_the_file(self, tmp_path):
+        ids = [f"a{i:03d}" for i in range(300)]
+        g = build_qbag(
+            [(x, 0.5) for x in ids],
+            attacks=list(zip(ids, ids[1:])),
+            supports=list(zip(ids, ids[2:])),
+        )
+        text = serialize_chain(sweep_chain(g, "a150", [i / 39 for i in range(40)]))
+        path = _chain_file(tmp_path, text)
+        assert len(text) >= 2_000_000
+        tracemalloc.start()
+        try:
+            chain = cli._read_chain(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain == parse_chain(text)
+        assert peak < len(text)
 
 
 class TestCurve:
@@ -778,6 +906,29 @@ class TestCommandLine:
         assert result.stderr.splitlines() == [
             "InvalidArgumentId: steps[1]: argument id 'b\\udfff' contains a lone surrogate"
         ]
+
+    @pytest.mark.parametrize("char", ["\n", "\r"], ids=["lf", "cr"])
+    def test_control_character_in_a_path_is_escaped(self, runner, tmp_path, sweep_path, char):
+        # the path is the one part of the message written as it was given
+        escaped = repr(char)[1:-1]
+        missing = str(tmp_path / f"no{char}such.json")
+        shown = missing.replace(char, escaped)
+        for command in (["eval", missing], ["validate", missing]):
+            result = runner.invoke(main, command)
+            assert result.exit_code == 2
+            assert result.stderr_bytes.decode() == (
+                f"cannot read {shown}: [Errno 2] No such file or directory: {missing!r}\n"
+            )
+        out = str(tmp_path / f"x{char}y" / "out.json")
+        result = runner.invoke(main, ["sweep", sweep_path, *_SWEEP, "--steps", "2", "--out", out])
+        assert result.exit_code == 2
+        assert result.stderr_bytes.decode() == (
+            f"cannot write {out.replace(char, escaped)}: [Errno 2] No such file or directory: {out!r}\n"
+        )
+
+    def test_only_control_characters_of_a_path_are_escaped(self):
+        assert cli._shown("dir/ä b\\'\"$.json") == "dir/ä b\\'\"$.json"
+        assert cli._shown("a\tb\x1b\x7f\x85\u2028.json") == "a\\tb\\x1b\\x7f\\x85\\u2028.json"
 
     def test_ids_are_written_verbatim(self, runner, tmp_path):
         # escape sequences in an id are written as they are, terminal or not

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,8 @@ from qbag import (
     QbagError,
     RelationOverlap,
     SLFQuery,
+    StrengthAssignment,
+    StrengthMatrix,
     StrengthOutOfRange,
     build_chain,
     build_qbag,
@@ -34,8 +37,8 @@ from qbag import (
     sweep_chain,
 )
 
-from qbag import QBAG, serialize
-from qbag.serialize import _canonical_steps
+from qbag import serialize
+from qbag.serialize import _CHAIN_CLOSE, _STEP_BOUNDARY, _canonical_steps, _parse_canonical
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
 from .oracles import canonical_json, chain_document, parse_chain_oracle, qbag_document
@@ -50,7 +53,9 @@ from .strategies import (
     mutated_documents,
     near_documents,
     shared_chains,
+    shared_step,
     signed_strengths,
+    spliced_chains,
     strengths,
     weak_expansion_chains,
 )
@@ -558,44 +563,6 @@ class TestChainTextWork:
         assert len(calls) == len(sweep_base().args) + 199
 
 
-def _shared_step(g, tau):
-    """A raw step that shares g's argument set and relations by identity."""
-    return QBAG(g.args, tau, g.att, g.supp)
-
-
-@st.composite
-def spliced_chains(draw):
-    """Chains whose steps share the argument set by identity, in many ways.
-
-    Sweeps over values with both signed zeros and repeats; raw steps that
-    change no, one or every strength, some of them to an int or to the
-    other zero, or that list the strengths in another key order; and
-    shared steps after a rebuilt one.
-    """
-    g = draw(st.one_of(acyclic_qbags(min_args=1), exotic_qbags().filter(lambda g: g.args)))
-    values = st.one_of(signed_strengths, st.sampled_from([0, 1]))
-    steps = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["sweep", "none", "one", "every", "reorder", "rebuild"]))
-        last = steps[-1] if steps else g
-        tau = dict(last.tau)
-        if kind == "sweep":
-            swept = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_size=4))
-            steps += sweep_chain(last, draw(st.sampled_from(sorted(g.args))), swept)
-            continue
-        if kind == "one":
-            tau[draw(st.sampled_from(sorted(g.args)))] = draw(values)
-        elif kind == "every":
-            tau = {x: draw(values) for x in tau}
-        elif kind == "reorder":
-            tau = dict(reversed(tau.items()))
-        elif kind == "rebuild":  # equal sets, but not the same objects
-            steps.append(build_qbag(tau.items(), last.att, last.supp))
-            continue
-        steps.append(_shared_step(last, tau))
-    return build_chain(steps)
-
-
 class TestSplice:
     """serialize_chain re-renders a step's changed strengths only, and still
     writes exactly what json.dumps(doc, indent=2) would."""
@@ -607,7 +574,7 @@ class TestSplice:
 
     def test_int_strength_after_equal_float(self):
         g = build_qbag([("a", 1.0), ("b", 0.0)])
-        c = build_chain([g, _shared_step(g, {"a": 1, "b": -0.0}), _shared_step(g, {"a": 1.0, "b": 0})])
+        c = build_chain([g, shared_step(g, {"a": 1, "b": -0.0}), shared_step(g, {"a": 1.0, "b": 0})])
         text = serialize_chain(c)
         assert text == canonical_json(chain_document(c))
         assert text.count('"initial": 1\n') == 1 and text.count('"initial": -0.0\n') == 1
@@ -615,8 +582,88 @@ class TestSplice:
     def test_empty_steps_share_nothing_with_empty_relations(self):
         # an empty argument set and an empty relation are equal frozensets
         g = build_qbag([])
-        c = build_chain([g, _shared_step(g, {}), build_qbag([("a", 0.5)]), g])
+        c = build_chain([g, shared_step(g, {}), build_qbag([("a", 0.5)]), g])
         assert serialize_chain(c) == canonical_json(chain_document(c))
+
+
+def _chunked(text, cuts):
+    """text cut at each of the positions."""
+    cuts = sorted(set(cuts))
+    return [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+
+
+def _awkward_cuts(text):
+    """Every position inside a step boundary, and inside the closing text."""
+    starts = [m.start() for m in re.finditer(re.escape(_STEP_BOUNDARY), text)]
+    starts.append(len(text) - len(_CHAIN_CLOSE))
+    return [start + k for start in starts for k in range(1, len(_STEP_BOUNDARY))]
+
+
+def _shape(c):
+    """A chain, the bits of its strengths, and which steps share their structure."""
+    shared = [(g.args is f.args, g.att is f.att, g.supp is f.supp) for f, g in zip(c, c.steps[1:])]
+    return c, serialize_chain(c), shared
+
+
+class TestChunkedDecoder:
+    """The decoder takes its text in chunks of any size, a window of whole steps at a time."""
+
+    @given(spliced_chains(), st.data())
+    @settings(max_examples=200)
+    def test_any_chunking_gives_the_value_of_parse_chain(self, c, data):
+        text = serialize_chain(c)
+        positions = st.integers(0, len(text)) | st.sampled_from(_awkward_cuts(text))
+        cuts = data.draw(st.lists(positions, max_size=12))
+        expected = _shape(parse_chain(text))
+        assert _shape(_parse_canonical(_chunked(text, cuts))) == expected
+        assert _shape(_parse_canonical(list(text))) == expected  # one character at a time
+
+    @pytest.mark.parametrize(
+        "text", [DIALOGUE, _sweep_text("f"), FRONT_EXTENSION], ids=["dialogue", "sweep", "extension"]
+    )
+    def test_every_cut_inside_a_boundary_or_the_close(self, text):
+        expected = _shape(parse_chain(text))
+        for cut in _awkward_cuts(text):
+            assert _shape(_parse_canonical(_chunked(text, [cut]))) == expected
+
+    @given(
+        mutated_documents(
+            st.one_of(weak_expansion_chains(), evolving_chains(), shared_chains()).map(serialize_chain)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_a_chunked_decode_that_succeeds_agrees_with_parse_chain(self, text, data):
+        cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
+        try:
+            found = _parse_canonical(_chunked(text, cuts))
+        except Exception:
+            return  # parse_chain's general path decides
+        assert _shape(found) == _shape(parse_chain(text))
+
+    @pytest.mark.parametrize("text", OFF_LAYOUT.values(), ids=OFF_LAYOUT.keys())
+    def test_off_layout_documents_fail_in_any_chunking(self, text):
+        for chunks in ([text], list(text), _chunked(text, _awkward_cuts(text))):
+            with pytest.raises(Exception):
+                _parse_canonical(chunks)
+
+    def test_chunks_cost_what_one_text_costs(self):
+        # one step of 4 MB in 1 KiB chunks: searching the whole window for a
+        # boundary at every chunk, or joining it again, would be quadratic
+        ids = [f"{i:0200d}" for i in range(16_000)]
+        text = serialize_chain(build_chain([build_qbag([(x, 0.5) for x in ids])]))
+        assert len(text) >= 4_000_000
+        chunks = _chunked(text, range(1024, len(text), 1024))
+
+        def best(chunks):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                _parse_canonical(chunks)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(chunks) <= 3 * best([text])
 
 
 class TestRoundTrip:
@@ -731,6 +778,77 @@ class TestStrengthsCsv:
             )
         )
         assert export_strengths_csv(evaluate_chain(chain)) == "step,argument,final_strength\n"
+
+
+def _strengths_csv_oracle(m):
+    """export_strengths_csv as it was before it kept rendered lines: every value rendered."""
+    lines = ["step,argument,final_strength"]
+    for i, row in enumerate(m.rows, start=1):
+        for x, v in row.values.items():
+            lines.append(f"{i},{x},{format(float(v), '.12g')}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def strength_matrices(draw):
+    """Rows that keep, replace, reorder or re-key the last row's values,
+    which include ints, both signed zeros and the same object again."""
+    values = st.one_of(signed_strengths, st.sampled_from([0, 1]))
+    rows = []
+    row = {}
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "keep", "edit", "reorder"]))
+        if kind == "fresh" or not row:
+            row = {x: draw(values) for x in draw(st.lists(st.sampled_from("abcdef"), unique=True))}
+        elif kind == "edit":
+            row = dict(row)
+            for x in sorted(draw(st.sets(st.sampled_from(sorted(row))))):
+                row[x] = draw(values)
+        elif kind == "reorder":
+            row = dict(reversed(row.items()))
+        else:
+            row = dict(row)
+        rows.append(StrengthAssignment(row))
+    return StrengthMatrix(tuple(rows))
+
+
+class TestStrengthRows:
+    """The table renders only the strengths that are not the last row's objects."""
+
+    @given(strength_matrices())
+    @settings(max_examples=300)
+    def test_arbitrary_matrices(self, m):
+        assert export_strengths_csv(m) == _strengths_csv_oracle(m)
+
+    @given(spliced_chains())
+    @settings(max_examples=100)
+    def test_evaluated_chains(self, c):
+        m = evaluate_chain(c)
+        assert export_strengths_csv(m) == _strengths_csv_oracle(m)
+
+    def test_ints_and_signed_zeros_after_equal_values(self):
+        rows = [{"a": 1.0, "b": 0.0}, {"a": 1, "b": -0.0}, {"a": 1, "b": 0}]
+        m = StrengthMatrix(tuple(map(StrengthAssignment, rows)))
+        text = export_strengths_csv(m)
+        assert text == _strengths_csv_oracle(m)
+        assert text.splitlines()[3:5] == ["2,a,1", "2,b,-0"]
+
+    def test_changed_strengths_render_once(self, monkeypatch):
+        # c reaches a and b only: the other strengths stay the same objects
+        m = evaluate_chain(sweep_chain(sweep_base(), "c", [i / 99 for i in range(100)]))
+        calls = []
+        original = serialize._dec12
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(serialize, "_dec12", counting)
+        assert export_strengths_csv(m) == _strengths_csv_oracle(m)
+        pairs = zip(m.rows[1:], m.rows)
+        changed = [v is not u for a, b in pairs for v, u in zip(a.values.values(), b.values.values())]
+        assert len(calls) == len(m.rows[0].values) + sum(changed)
+        assert sum(changed) < len(changed)
 
 
 class TestCurveCsv:
