@@ -17,6 +17,7 @@ from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain
 from .graph import (
     QBAG,
     Edge,
+    _EMPTY,
     _added,
     _extend_index,
     _Index,
@@ -157,10 +158,6 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
         v = validate_strength(v, owner=f"sweep value for {x!r}")
         steps.append(QBAG(args=g.args, tau={**base, x: v}, att=g.att, supp=g.supp))
     return Chain(steps=tuple(steps))
-
-
-# the step a rebuilt step extends
-_EMPTY = QBAG(args=frozenset(), tau={}, att=frozenset(), supp=frozenset())
 
 
 def _plans(c: Chain) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:

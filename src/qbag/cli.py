@@ -48,8 +48,10 @@ from .errors import QbagError
 from .semantics import evaluate, semantics_by_name
 from .serialize import (
     _SCORE_PLACES,
+    _canonical_steps,
     _chain_parts,
-    _parse_canonical,
+    _document_steps,
+    _parse_steps,
     _strength_rows,
     export_curve_csv,
     parse_chain,
@@ -106,16 +108,17 @@ def _read_text(path: str) -> str:
 def _read_chain(path: str) -> Chain:
     """The chain document at path, read in chunks and decoded a step at a time.
 
-    At any doubt the whole file is read again for parse_chain, which gives
-    every error; a pipe, which cannot be read twice, goes there at once.
+    At any doubt the whole file is read again for the general path, which
+    gives every error; a pipe, which cannot be read twice, goes to parse_chain.
     """
+    if not os.path.isfile(path):
+        return parse_chain(_read_text(path))
     try:
-        if os.path.isfile(path):
-            with open(path, encoding="utf-8") as file:
-                return _parse_canonical(iter(lambda: file.read(_READ_CHUNK), ""))
-    except Exception:  # off the layout, invalid or unreadable: the whole-file path decides
+        with open(path, encoding="utf-8") as file:
+            return _parse_steps(_canonical_steps(iter(lambda: file.read(_READ_CHUNK), "")))
+    except Exception:  # off the layout, invalid or unreadable: the general path decides
         pass
-    return parse_chain(_read_text(path))
+    return _parse_steps(_document_steps(_read_text(path)))
 
 
 def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
@@ -245,7 +248,7 @@ def sweep(
             out.writelines(step_texts)
     except OSError as exc:
         _fail(f"cannot write {_shown(out_path)}: {exc}")
-    _echo(f"wrote {out_path}")
+    _echo(f"wrote {_shown(out_path)}")
 
 
 def curve(chain_path: str, topics: str, threshold: float, semantics_name: str) -> None:

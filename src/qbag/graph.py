@@ -151,9 +151,9 @@ def build_qbag(
     then endpoints, attacks before supports, reporting the least
     offending pair; then overlap.  Self-loops are structurally allowed
     here; they are cycles and get rejected at evaluation time.  These
-    rules live only in this module: document parsing validates every
-    step through this function, or through :func:`_extend_qbag` for
-    what a step adds to the one before.
+    rules live only in this module.  Document parsing builds every
+    valid step with :func:`_extend_qbag` and calls this function only
+    to word the error of a step that breaks a rule.
     """
     tau: dict[str, float] = {}
     for arg, strength in args:
@@ -180,42 +180,49 @@ def build_qbag(
     return QBAG(args=declared, tau=tau, att=att, supp=supp)
 
 
-def _extend_qbag(
-    prev: QBAG, ids: list, values: list, attacks: list[Edge], supports: list[Edge]
-) -> QBAG | None:
-    """``build_qbag(zip(ids, values), attacks, supports)`` for a graph that contains prev.
+# the graph every step contains, so the one that any other step extends
+_EMPTY = QBAG(args=frozenset(), tau={}, att=frozenset(), supp=frozenset())
 
-    Only what prev lacks is checked: its arguments and pairs already
-    passed every rule.  The new relations keep prev's pair tuples, and
-    every set operation runs in C.  The values must be ints or floats in
-    [0, 1].  Returns None when the graph does not contain prev or breaks
-    a rule; :func:`build_qbag` then reports the error in its precedence.
+
+def _extend_qbag(
+    prev: QBAG, ids: Collection, values: Iterable, attacks: list[Edge], supports: list[Edge]
+) -> QBAG | None:
+    """``build_qbag(zip(ids, values), attacks, supports)``, or None where that raises.
+
+    The step extends prev if it contains prev, and ``_EMPTY`` otherwise,
+    as ``chain._plans`` has it.  Only what it adds is checked, and an id
+    only where prev lacks it: prev passed every rule.  An extension keeps
+    prev's pair tuples.  The values must be ints or floats in [0, 1] and
+    the pairs tuples of strings.  build_qbag words the error of a step
+    this returns None for.
     """
     try:
-        declared = frozenset(ids)
+        tau = dict(zip(ids, map(float, values)))
     except TypeError:  # an unhashable id
         return None
-    att, supp = frozenset(attacks), frozenset(supports)
-    added = _added(prev, declared, att, supp)
-    if added is None or len(declared) != len(ids):
+    if len(tau) != len(ids):  # a duplicate id
         return None
+    args = frozenset(tau)  # sized once from a dict: half the table of frozenset(ids)
+    att, supp = frozenset(attacks), frozenset(supports)
+    added = _added(prev, args, att, supp)
+    if added is None:  # every pair is new; an id prev has passed the id rule
+        added = args - prev.args, att, supp
+    elif prev.args:  # keep prev's pair tuples
+        att, supp = prev.att | added[1], prev.supp | added[2]
     new_args, new_att, new_supp = added
-    for arg in new_args:
-        if not isinstance(arg, str) or not arg or _FORBIDDEN_IN_ID.search(arg):
-            return None
+    try:
+        for arg in new_args:
+            validate_argument_id(arg)
+    except InvalidArgumentId:
+        return None
     if not (
-        declared.issuperset(chain.from_iterable(new_att))
-        and declared.issuperset(chain.from_iterable(new_supp))
+        args.issuperset(chain.from_iterable(new_att))
+        and args.issuperset(chain.from_iterable(new_supp))
         and new_att.isdisjoint(supp)
         and new_supp.isdisjoint(att)
     ):
         return None
-    return QBAG(
-        args=prev.args | new_args,
-        tau=dict(zip(ids, map(float, values))),
-        att=prev.att | new_att,
-        supp=prev.supp | new_supp,
-    )
+    return QBAG(args, tau, att, supp)
 
 
 def _added(

@@ -25,9 +25,12 @@ block that repeats the previous step's text is not decoded at all.  The
 text may come in chunks, such as the reads of a file; the decoder then
 holds only the whole steps read so far.  Any other valid JSON, and any
 document with an error, goes through json.loads of the whole text; it
-parses to the same value or raises the same error.  Likewise, a chain
-document and the CSV table of strengths are produced a step at a time,
-and a step renders only the strengths that changed from the step before.
+parses to the same value or raises the same error.  Both readers check
+a step's entries and pairs by the same rules, and one builder makes every
+step an extension of the previous step or of the empty graph.  Likewise,
+a chain document and the CSV table of strengths are produced a step at a
+time, and a step renders only the strengths that changed from the step
+before.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
 from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
-from .graph import QBAG, Edge, _extend_qbag, build_qbag
+from .graph import _EMPTY, QBAG, Edge, _extend_qbag, build_qbag
 
 FORMAT_VERSION = "1"
 # decimal places of the gradual fairness scores in every rendered report
@@ -106,120 +109,124 @@ def _parse_edges(raw: object, where: str = "") -> list[tuple[str, str]]:
     return list(map(tuple, raw))
 
 
-class _Step(NamedTuple):
-    """A parsed step plus the raw structure it was validated from."""
+def _arguments(raw: object, path: str) -> list[tuple[object, int | float]]:
+    """The (id, initial) of each argument entry; raises at the first bad entry.
 
-    ids: Sequence
-    attacks: object
-    supports: object
-    graph: QBAG
-
-
-def _parse_payload(payload: dict, path: str, previous: _Step | None = None) -> _Step:
-    """Check one graph payload's argument entries; _step builds the graph."""
-    raw_args = payload.get("arguments")
-    if type(raw_args) is not list:
+    An entry is an object with exactly the keys id and initial, and an
+    int or float initial in [0, 1].  The step builder checks the ids.
+    """
+    if type(raw) is not list:
         raise DocumentError(f"{path}arguments: expected a list")
-    ids = []
-    values = []
-    for i, entry in enumerate(raw_args):
+    entries = []
+    for i, entry in enumerate(raw):
         if type(entry) is not dict or "id" not in entry or "initial" not in entry:
-            raise DocumentError(
-                f"{path}arguments[{i}]: expected an object with id and initial"
-            )
+            raise DocumentError(f"{path}arguments[{i}]: expected an object with id and initial")
         if len(entry) != 2:
             _reject_unknown_keys(entry, _ARGUMENT_KEYS, f"{path}arguments[{i}]: unknown keys")
         initial = entry["initial"]
         if type(initial) is not float and type(initial) is not int:
             raise DocumentError(f"{path}arguments[{i}].initial: expected a number")
         if not 0.0 <= initial <= 1.0:  # compared before float() can overflow
-            raise StrengthOutOfRange(
-                f"{path}arguments[{i}].initial: {initial!r} outside [0, 1]"
-            )
-        ids.append(entry["id"])
-        values.append(initial)
-    return _step(previous, path, ids, values, payload.get("attacks"), payload.get("supports"))
+            raise StrengthOutOfRange(f"{path}arguments[{i}].initial: {initial!r} outside [0, 1]")
+        entries.append((entry["id"], initial))
+    return entries
 
 
-def _step(previous, path, ids, values, attacks, supports, raw=True) -> _Step:
-    """One step from its ids, its strengths in [0, 1] and its relations.
+def _payload_parts(payload: dict, path: str) -> tuple[list, list[Edge], list[Edge]]:
+    """The checked argument entries, attacks and supports of one graph payload."""
+    return (
+        _arguments(payload.get("arguments"), path),
+        _parse_edges(payload.get("attacks"), f"{path}attacks"),
+        _parse_edges(payload.get("supports"), f"{path}supports"),
+    )
 
-    The relations are JSON lists that _parse_edges checks, or, when
-    ``raw`` is false, lists of checked pair tuples.  build_qbag holds the
-    id and relation rules.  A step whose ids and relations are == to the
-    previous step's passes those rules exactly when the previous step
-    did, so it reuses the previous step's validated frozensets and only
-    reads its own initial strengths.  A step that contains the previous
-    one has only its new ids and pairs checked, by
-    ``graph._extend_qbag``; when that finds a problem, build_qbag checks
-    the whole step and words the error.
+
+class _Step(NamedTuple):
+    """A built step plus the ids and pair lists it was built from."""
+
+    ids: Sequence
+    attacks: list[Edge]
+    supports: list[Edge]
+    graph: QBAG
+
+
+def _step(previous, path, entries, attacks, supports) -> _Step:
+    """One step from its checked argument entries and pair lists.
+
+    A step whose ids and pair lists are == to the previous step's passes
+    every rule exactly when the previous step did, so it reuses the
+    previous step's frozensets and only reads its own initial strengths.
+    Any other step is built by ``graph._extend_qbag``, which extends the
+    previous step when the step contains it and the empty graph
+    otherwise, as evaluation does.  When the step breaks a rule,
+    build_qbag words the error; a valid step never reaches it.
     """
+    ids, values = zip(*entries) if entries else ((), ())
     if previous is not None and ids == previous.ids:
         ids = previous.ids  # every step keys its strengths by the same id strings
         if attacks == previous.attacks and supports == previous.supports:
             g = previous.graph
             tau = dict(zip(ids, map(float, values)))
             return _Step(ids, attacks, supports, QBAG(g.args, tau, g.att, g.supp))
-    att, supp = attacks, supports
-    if raw:
-        att = _parse_edges(attacks, f"{path}attacks")
-        supp = _parse_edges(supports, f"{path}supports")
-    g = None
-    if previous is not None:
-        g = _extend_qbag(previous.graph, ids, values, att, supp)
+    g = _extend_qbag(_EMPTY if previous is None else previous.graph, ids, values, attacks, supports)
     if g is None:
         try:
-            g = build_qbag(zip(ids, values), attacks=att, supports=supp)
+            g = build_qbag(zip(ids, values), attacks, supports)
         except QbagError as exc:
-            # duplicate ids, dangling endpoints, relation overlap: keep the
-            # specific error type, prefix the document location
+            # keep the specific error type, prefix the document location
             where = path.rstrip(".") or "document"
             raise type(exc)(f"{where}: {exc}") from None
     return _Step(ids, attacks, supports, g)
 
 
+def _parse_steps(steps: Iterable[tuple[list, list[Edge], list[Edge]]]) -> Chain:
+    """The chain of each step's checked parts, from either reader of chain documents."""
+    qbags = []
+    step = None
+    for i, parts in enumerate(steps):
+        step = _step(step, f"steps[{i}].", *parts)
+        qbags.append(step.graph)
+    return build_chain(qbags)
+
+
 def parse_qbag(text: str) -> QBAG:
     """Parse and validate a qbag document."""
     data = _load_document(text, "qbag")
-    return _parse_payload(data, "").graph
+    return _step(None, "", *_payload_parts(data, "")).graph
 
 
 def parse_chain(text: str) -> Chain:
     """Parse and validate a chain document.
 
     Consecutive steps with the same arguments and relations share one
-    set of frozensets, as the steps of :func:`sweep_chain` do.  A step
-    that extends the previous one costs what it adds: only its new ids
-    and pairs are checked, and its relations reuse the previous step's
-    pair tuples.
-
-    A document in the canonical layout is decoded block by block, and a
-    block decodes only the entries that the same block of the previous
-    step did not have.  The same decoder reads a file in chunks, one
-    step at a time, for the command line.  Any other document, and any
-    document with an error, is parsed whole by ``json.loads``; that path
-    gives the same value, and reports the first error in the documented
-    precedence.
+    set of frozensets, as the steps of :func:`sweep_chain` do.  Every
+    other step is built as an extension, as evaluation treats it: of the
+    previous step when it contains that step, at the cost of what it
+    adds and keeping the previous step's pair tuples, and of the empty
+    graph otherwise.  A canonical document is decoded block by block, as
+    the module docstring says; any other document, and any document with
+    an error, is parsed whole by ``json.loads``, which gives the same
+    value or the first error in the documented precedence.
     """
     try:
-        return _parse_canonical((text,))
+        return _parse_steps(_canonical_steps((text,)))
     except Exception:  # off the layout or invalid: the general path decides
         pass
-    data = _load_document(text, "chain")
-    steps = data.get("steps")
+    return _parse_steps(_document_steps(text))
+
+
+def _document_steps(text: str) -> Iterator[tuple[list, list[Edge], list[Edge]]]:
+    """The checked parts of each step of a chain document that json.loads decodes whole."""
+    steps = _load_document(text, "chain").get("steps")
     if type(steps) is not list:
         raise DocumentError("steps: expected a list")
     if not steps:
         raise EmptyChain("chain document has zero steps")
-    qbags = []
-    step = None
     for i, payload in enumerate(steps):
         if type(payload) is not dict:
             raise DocumentError(f"steps[{i}]: expected an object")
         _reject_unknown_keys(payload, _STEP_KEYS, f"steps[{i}]: unknown keys")
-        step = _parse_payload(payload, f"steps[{i}].", step)
-        qbags.append(step.graph)
-    return build_chain(qbags)
+        yield _payload_parts(payload, f"steps[{i}].")
 
 
 # The text around the values of a canonical chain document; serialize_chain
@@ -245,26 +252,12 @@ def _skip(text: str, pos: int, literal: str) -> int:
     return pos + len(literal)
 
 
-def _entries(value: object) -> list[tuple[str, object]]:
-    """The (id, initial) of each decoded argument entry, if all are flat.
-
-    A flat entry has exactly the keys id and initial, a string id and an
-    int or float initial in [0, 1].
-    """
-    if type(value) is not list:
+def _flat_arguments(value: object) -> list[tuple[str, int | float]]:
+    """_arguments of a decoded block; the proof below also needs string ids."""
+    entries = _arguments(value, "")
+    if any(type(x) is not str for x, _ in entries):
         raise _OffLayout
-    items = []
-    for entry in value:
-        if type(entry) is not dict or len(entry) != 2:
-            raise _OffLayout
-        x = entry.get("id")
-        v = entry.get("initial")
-        if type(x) is not str or type(v) is not float and type(v) is not int:
-            raise _OffLayout
-        if not 0.0 <= v <= 1.0:
-            raise _OffLayout
-        items.append((x, v))
-    return items
+    return entries
 
 
 # _Blocks reads the successive blocks of one key.  A block that repeats the
@@ -389,7 +382,7 @@ def _canonical_steps(chunks: Iterable[str]) -> Iterator[tuple[list, list, list]]
     windows = _windows(chunks)
     text, end = next(windows)
     pos = _skip(text, 0, _CHAIN_OPEN)
-    arguments = _Blocks("{}", _entries)
+    arguments = _Blocks("{}", _flat_arguments)
     attacks = _Blocks("[]", _parse_edges)
     supports = _Blocks("[]", _parse_edges)
     while True:
@@ -405,17 +398,6 @@ def _canonical_steps(chunks: Iterable[str]) -> Iterator[tuple[list, list, list]]
             pos = 0
     if _skip(text, pos, _CHAIN_CLOSE) != len(text) or next(windows, None) is not None:
         raise _OffLayout(pos)
-
-
-def _parse_canonical(chunks: Iterable[str]) -> Chain:
-    """The chain of a canonical document's chunks; raises at the first doubt."""
-    qbags = []
-    step = None
-    for entries, attacks, supports in _canonical_steps(chunks):
-        ids, values = zip(*entries) if entries else ((), ())
-        step = _step(step, "", ids, values, attacks, supports, False)
-        qbags.append(step.graph)
-    return build_chain(qbags)
 
 
 # -- serialization ---------------------------------------------------------

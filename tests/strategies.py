@@ -207,6 +207,18 @@ def spliced_chains(draw) -> Chain:
     return build_chain(steps)
 
 
+@st.composite
+def rewired_chains(draw, max_steps: int = 5) -> Chain:
+    """Chains over one id set, every step with fresh strengths and fresh edges."""
+    args = list("abcdefgh"[: draw(st.integers(1, 8))])
+    steps = []
+    for _ in range(draw(st.integers(1, max_steps))):
+        att, supp = _forward_edges(draw, list(draw(st.permutations(args))))
+        taus = [(x, draw(signed_strengths)) for x in args]
+        steps.append(build_qbag(taus, attacks=att, supports=supp))
+    return build_chain(steps)
+
+
 EDITS = ("sweep", "retune", "grow", "link", "unlink", "drop", "rewire")
 
 

@@ -25,7 +25,7 @@ from qbag import (
     serialize_qbag,
     sweep_chain,
 )
-from qbag import cli
+from qbag import cli, serialize
 from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
@@ -351,6 +351,15 @@ class TestSweep:
         assert "ä" in expected
         assert (run.returncode, run.stdout, run.stderr) == (0, expected.encode("utf-8"), b"")
 
+    def test_out_path_is_shown_on_one_line(self, runner, sweep_path, tmp_path):
+        out = tmp_path / "nl\ndir" / "o.json"
+        out.parent.mkdir()
+        args = ["--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "3"]
+        result = runner.invoke(main, ["sweep", sweep_path, *args, "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.stdout == "wrote " + str(out).replace("\n", "\\n") + "\n"
+        assert len(parse_chain(out.read_text(encoding="utf-8"))) == 3
+
     def test_unwritable_out_path_fails(self, runner, sweep_path, tmp_path):
         args = ["--argument", "f", "--from", "0.1", "--to", "0.9", "--steps", "3"]
         result = runner.invoke(main, ["sweep", sweep_path, *args, "--out", str(tmp_path)])
@@ -508,6 +517,29 @@ class TestChainReader:
         result = runner.invoke(main, ["validate", str(path)])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == _whole_path_error(text)
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["compact", "duplicate-id"])
+    def test_an_off_layout_file_is_decoded_once(self, runner, tmp_path, monkeypatch, valid):
+        # the chunked decode fails on both; the general path does not decode again
+        if valid:
+            text = json.dumps(json.loads(LONG_SWEEP))
+            canonical = runner.invoke(main, ["validate", str(_chain_file(tmp_path, LONG_SWEEP))])
+            expected = (0, canonical.stdout, "")
+        else:
+            text = LONG_SWEEP.replace('"id": "f"', '"id": "c"', 1)
+            expected = (2, "", _whole_path_error(text))
+        calls = []
+        original = serialize._canonical_steps
+
+        def counting(chunks):
+            calls.append(chunks)
+            return original(chunks)
+
+        monkeypatch.setattr(serialize, "_canonical_steps", counting)
+        monkeypatch.setattr(cli, "_canonical_steps", counting)
+        result = runner.invoke(main, ["validate", str(_chain_file(tmp_path, text))])
+        assert (result.exit_code, result.stdout, result.stderr) == expected
+        assert len(calls) == 1
 
     def test_trailing_bytes_message(self, runner, tmp_path):
         path = _chain_file(tmp_path, LONG_SWEEP + "x")

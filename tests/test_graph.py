@@ -3,9 +3,10 @@
 import copy
 import dataclasses
 import pickle
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbag import (
@@ -17,6 +18,7 @@ from qbag import (
     EmptyChain,
     EmptyTopicSet,
     InvalidArgumentId,
+    QbagError,
     RelationOverlap,
     SLFQuery,
     StrengthMatrix,
@@ -38,11 +40,12 @@ from qbag import (
     sweep_chain,
     topological_order,
 )
-from qbag.graph import _index
+import qbag.graph
+from qbag.graph import _EMPTY, _extend_qbag, _index
 
 from .cases import dialogue, dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
 from .oracles import oracle_index
-from .strategies import acyclic_qbags, arbitrary_qbags, exotic_qbags
+from .strategies import acyclic_qbags, arbitrary_qbags, exotic_qbags, signed_strengths
 
 
 class TestBuild:
@@ -112,6 +115,112 @@ class TestBuild:
     def test_self_loop_allowed_structurally(self):
         g = build_qbag([("a", 0.5)], attacks=[("a", "a")])
         assert not is_acyclic(g)
+
+
+# what a step may break: ids, uniqueness, endpoints, disjointness; the
+# reader has checked that every strength is an int or float in [0, 1] and
+# that every pair is two strings
+BREAKS = ("none", "bad-id", "old-id-again", "new-id-twice", "unhashable-id", "non-str-id",
+          "dangling", "overlap", "drop-id")
+
+
+@st.composite
+def steps_after(draw):
+    """(prev, ids, values, attacks, supports) for a step that follows the graph prev.
+
+    The step extends prev, rewires prev's ids (fresh strengths and edges),
+    or is drawn afresh, and then breaks at most one rule.  Edges include
+    self-loops.
+    """
+    prev = draw(st.one_of(arbitrary_qbags(), st.just(_EMPTY)))
+    kind = draw(st.sampled_from(["extension", "rewired", "fresh"]))
+    if kind == "fresh":
+        ids = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=8))
+    else:
+        ids = sorted(prev.args)
+        if kind == "extension":
+            ids += draw(st.lists(st.sampled_from("ijkl"), unique=True, max_size=3))
+    pairs = [(x, y) for x in ids for y in ids]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    attacks = [p for p in edges if p not in prev.supp and draw(st.booleans())]
+    supports = [p for p in edges if p not in attacks and p not in prev.att]
+    if kind == "extension":
+        attacks = sorted(prev.att) + [p for p in attacks if p not in prev.att]
+        supports = sorted(prev.supp) + [p for p in supports if p not in prev.supp]
+    ids = list(draw(st.permutations(ids)))
+    values = [draw(st.one_of(signed_strengths, st.sampled_from([0, 1]))) for _ in ids]
+    broken = draw(st.sampled_from(BREAKS))
+    extra = {
+        "bad-id": draw(st.sampled_from(["", "a b", "x,y", "\ud800", "n\n"])),
+        "old-id-again": draw(st.sampled_from(ids)) if ids else "a",
+        "unhashable-id": ["m"],
+        "non-str-id": draw(st.sampled_from([7, None, 0.5])),
+    }
+    if broken in extra:
+        ids.insert(draw(st.integers(0, len(ids))), extra[broken])
+        values.append(0.5)
+    elif broken == "new-id-twice":
+        ids += ["z", "z"]
+        values += [0.5, 0.25]
+    elif broken == "dangling":
+        relation = draw(st.sampled_from([attacks, supports]))
+        end = ids[0] if ids else "z"
+        relation.append(draw(st.sampled_from([("z", end), (end, "z")])))
+    elif broken == "overlap" and attacks + supports:  # an old pair of prev's, or a new one
+        pair = draw(st.sampled_from(attacks + supports))
+        (supports if pair in attacks else attacks).append(pair)
+    elif broken == "drop-id" and ids:
+        i = draw(st.integers(0, len(ids) - 1))
+        del ids[i], values[i]
+    return prev, ids, values, attacks, supports
+
+
+class TestExtendQbag:
+    """graph._extend_qbag builds every valid step; build_qbag is the reference."""
+
+    @given(steps_after(), st.booleans())
+    @settings(max_examples=500)
+    def test_agrees_with_build_qbag(self, step, as_tuple):
+        prev, ids, values, attacks, supports = step
+        try:
+            expected = build_qbag(zip(ids, values), attacks, supports)
+        except QbagError:
+            expected = None
+        found = _extend_qbag(prev, tuple(ids) if as_tuple else ids, values, attacks, supports)
+        if expected is None:
+            assert found is None
+            return
+        assert found == expected
+        assert {x: v.hex() for x, v in found.tau.items()} == {
+            x: v.hex() for x, v in expected.tau.items()
+        }
+
+    def test_an_extension_keeps_the_pair_tuples_of_prev(self):
+        prev = dialogue_step2()
+        g = dialogue_step3()
+        ids = sorted(g.args)
+        found = _extend_qbag(prev, ids, [g.tau[x] for x in ids], list(g.att), list(g.supp))
+        assert found == g
+        kept = {p: p for p in found.att | found.supp}
+        assert all(kept[p] is p for p in prev.att | prev.supp)
+
+    def test_the_argument_set_is_no_larger_than_build_qbags(self):
+        # a set grown an id at a time gets twice the table of one built from a dict
+        ids = [f"a{i}" for i in range(100)]
+        found = _extend_qbag(_EMPTY, ids, [0.5] * 100, [], [])
+        assert sys.getsizeof(found.args) <= sys.getsizeof(build_qbag(zip(ids, [0.5] * 100)).args)
+
+    def test_a_rewired_step_checks_no_id_of_prev(self, monkeypatch):
+        prev = dialogue_step3()
+        ids = sorted(prev.args) + ["f"]
+        checked = []
+        original = qbag.graph.validate_argument_id
+        monkeypatch.setattr(
+            qbag.graph, "validate_argument_id", lambda x: checked.append(x) or original(x)
+        )
+        found = _extend_qbag(prev, ids, [0.5] * 6, [("a", "b")], [("f", "a")])
+        assert checked == ["f"]
+        assert found == build_qbag([(x, 0.5) for x in ids], [("a", "b")], [("f", "a")])
 
 
 class TestNeighbors:

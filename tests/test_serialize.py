@@ -38,7 +38,7 @@ from qbag import (
 )
 
 from qbag import serialize
-from qbag.serialize import _CHAIN_CLOSE, _STEP_BOUNDARY, _canonical_steps, _parse_canonical
+from qbag.serialize import _CHAIN_CLOSE, _STEP_BOUNDARY, _canonical_steps, _parse_steps
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
 from .oracles import canonical_json, chain_document, parse_chain_oracle, qbag_document
@@ -52,6 +52,7 @@ from .strategies import (
     json_values,
     mutated_documents,
     near_documents,
+    rewired_chains,
     shared_chains,
     shared_step,
     signed_strengths,
@@ -392,7 +393,11 @@ OFF_LAYOUT = {
 class TestCanonicalDecoder:
     """A canonical chain document is decoded one step block at a time."""
 
-    @given(st.one_of(chains(), shared_chains(), weak_expansion_chains(), evolving_chains()))
+    @given(
+        st.one_of(
+            chains(), shared_chains(), weak_expansion_chains(), evolving_chains(), rewired_chains()
+        )
+    )
     @settings(max_examples=200)
     def test_canonical_documents_skip_json_loads(self, c):
         _assert_decoded_block_by_block(serialize_chain(c))
@@ -608,15 +613,15 @@ def _shape(c):
 class TestChunkedDecoder:
     """The decoder takes its text in chunks of any size, a window of whole steps at a time."""
 
-    @given(spliced_chains(), st.data())
+    @given(spliced_chains() | rewired_chains(), st.data())
     @settings(max_examples=200)
     def test_any_chunking_gives_the_value_of_parse_chain(self, c, data):
         text = serialize_chain(c)
         positions = st.integers(0, len(text)) | st.sampled_from(_awkward_cuts(text))
         cuts = data.draw(st.lists(positions, max_size=12))
         expected = _shape(parse_chain(text))
-        assert _shape(_parse_canonical(_chunked(text, cuts))) == expected
-        assert _shape(_parse_canonical(list(text))) == expected  # one character at a time
+        assert _shape(_parse_steps(_canonical_steps(_chunked(text, cuts)))) == expected
+        assert _shape(_parse_steps(_canonical_steps(list(text)))) == expected  # one character at a time
 
     @pytest.mark.parametrize(
         "text", [DIALOGUE, _sweep_text("f"), FRONT_EXTENSION], ids=["dialogue", "sweep", "extension"]
@@ -624,7 +629,7 @@ class TestChunkedDecoder:
     def test_every_cut_inside_a_boundary_or_the_close(self, text):
         expected = _shape(parse_chain(text))
         for cut in _awkward_cuts(text):
-            assert _shape(_parse_canonical(_chunked(text, [cut]))) == expected
+            assert _shape(_parse_steps(_canonical_steps(_chunked(text, [cut])))) == expected
 
     @given(
         mutated_documents(
@@ -636,7 +641,7 @@ class TestChunkedDecoder:
     def test_a_chunked_decode_that_succeeds_agrees_with_parse_chain(self, text, data):
         cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
         try:
-            found = _parse_canonical(_chunked(text, cuts))
+            found = _parse_steps(_canonical_steps(_chunked(text, cuts)))
         except Exception:
             return  # parse_chain's general path decides
         assert _shape(found) == _shape(parse_chain(text))
@@ -645,7 +650,7 @@ class TestChunkedDecoder:
     def test_off_layout_documents_fail_in_any_chunking(self, text):
         for chunks in ([text], list(text), _chunked(text, _awkward_cuts(text))):
             with pytest.raises(Exception):
-                _parse_canonical(chunks)
+                _parse_steps(_canonical_steps(chunks))
 
     def test_chunks_cost_what_one_text_costs(self):
         # one step of 4 MB in 1 KiB chunks: searching the whole window for a
@@ -659,11 +664,38 @@ class TestChunkedDecoder:
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                _parse_canonical(chunks)
+                _parse_steps(_canonical_steps(chunks))
                 times.append(time.perf_counter() - start)
             return min(times)
 
         assert best(chunks) <= 3 * best([text])
+
+
+# valid documents of each kind of step: shared, extension, rewired over one id set
+ONE_BUILDER = {
+    "sweep": _sweep_text("c"),
+    "extension": DIALOGUE,
+    "rewired": serialize_chain(_rewired_chain(0)),
+}
+
+
+class TestOneBuilder:
+    """A valid document is built by graph._extend_qbag alone; build_qbag only words errors."""
+
+    @pytest.mark.parametrize("text", ONE_BUILDER.values(), ids=ONE_BUILDER.keys())
+    def test_valid_chains_never_call_build_qbag(self, text):
+        compact = json.dumps(json.loads(text))  # off the layout: the general path
+        expected = _shape(parse_chain(text))
+        assert expected[0] == parse_chain_oracle(text)
+        with mock.patch.object(serialize, "build_qbag", side_effect=AssertionError):
+            assert _shape(parse_chain(text)) == expected
+            assert _shape(parse_chain(compact)) == expected
+
+    def test_valid_qbag_never_calls_build_qbag(self):
+        expected = parse_qbag(SEED_DOCUMENT)
+        with mock.patch.object(serialize, "build_qbag", side_effect=AssertionError):
+            assert parse_qbag(SEED_DOCUMENT) == expected
+            assert parse_qbag(serialize_qbag(dialogue_step3())) == dialogue_step3()
 
 
 class TestRoundTrip:
