@@ -3,7 +3,10 @@
 All checks are relative to a set of topic arguments (present in every
 chain step) and a threshold of justification t in [0, 1].  A step counts
 as exceeding the threshold when the final strength is >= t; a strength
-strictly below t counts as a below state.
+strictly below t counts as a below state.  Every verdict and score is a
+reduction of one table of these threshold states, built once per call:
+``_verdicts`` gives the binary verdicts and fluctuation counts, and
+``_report`` the exceedance counts and gradual scores.
 
 Safety:   strong = every topic stays >= t at every step;
           weak = every topic is >= t at the last step.
@@ -109,20 +112,36 @@ def _states(m: StrengthMatrix, q: SLFQuery) -> dict[str, list[bool]]:
     return {x: [v >= t for v in m.trajectory(x)] for x in q.sorted_topics()}
 
 
-# -- safety ----------------------------------------------------------------
+def _verdicts(states: dict[str, list[bool]]) -> dict[str, dict[str, object]]:
+    """Every binary verdict and the fluctuation counts, grouped by check name."""
+    always = [all(s) for s in states.values()]
+    final = [s[-1] for s in states.values()]
+    fluctuations = {x: sum(a != b for a, b in pairwise(s)) for x, s in states.items()}
+    strong, weak = all(always), all(final)
+    # a topic crosses t exactly when both states occur; the set is safe exactly
+    # when every singleton is, so fairness is "no singleton is safe, or the set is"
+    return {
+        "safety": {"strongly_safe": strong, "weakly_safe": weak},
+        "liveness": {"fluctuations": fluctuations, "live": all(fluctuations.values())},
+        "fairness": {
+            "ideally_fair": not any(always) or strong,
+            "lively_fair": not any(final) or weak,
+            "cautiously_fair": not any(always) or weak,
+        },
+    }
+
+
+# -- safety, liveness and binary fairness: fields of _verdicts -------------
 
 
 def is_strongly_safe(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic stays at or above the threshold at every step."""
-    return all(all(s) for s in _states(m, q).values())
+    return _verdicts(_states(m, q))["safety"]["strongly_safe"]
 
 
 def is_weakly_safe(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic is at or above the threshold at the final step."""
-    return all(s[-1] for s in _states(m, q).values())
-
-
-# -- liveness --------------------------------------------------------------
+    return _verdicts(_states(m, q))["safety"]["weakly_safe"]
 
 
 def fluctuation_count(m: StrengthMatrix, x: str, t: float) -> int:
@@ -133,37 +152,27 @@ def fluctuation_count(m: StrengthMatrix, x: str, t: float) -> int:
     are counted.  Equivalently: the longest alternating subsequence of
     states, minus one.
     """
-    states = _states(m, SLFQuery(topics=frozenset({x}), threshold=t))[x]
-    return sum(a != b for a, b in pairwise(states))
+    return _verdicts(_states(m, SLFQuery({x}, t)))["liveness"]["fluctuations"][x]
 
 
 def is_live(m: StrengthMatrix, q: SLFQuery) -> bool:
     """Every topic shows at least one fluctuation."""
-    # a crossing exists exactly when both states occur
-    return all(len(set(s)) == 2 for s in _states(m, q).values())
-
-
-# -- binary fairness -------------------------------------------------------
-# The set is strongly (weakly) safe exactly when every singleton is, so
-# each notion is "no singleton is safe, or all of them are".
+    return _verdicts(_states(m, q))["liveness"]["live"]
 
 
 def is_ideally_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is strongly safe, the whole set must be."""
-    always = [all(s) for s in _states(m, q).values()]
-    return not any(always) or all(always)
+    return _verdicts(_states(m, q))["fairness"]["ideally_fair"]
 
 
 def is_lively_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is weakly safe, the whole set must be."""
-    final = [s[-1] for s in _states(m, q).values()]
-    return not any(final) or all(final)
+    return _verdicts(_states(m, q))["fairness"]["lively_fair"]
 
 
 def is_cautiously_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
     """If any singleton topic is strongly safe, the set must be weakly safe."""
-    states = _states(m, q).values()
-    return not any(all(s) for s in states) or all(s[-1] for s in states)
+    return _verdicts(_states(m, q))["fairness"]["cautiously_fair"]
 
 
 # -- gradual fairness ------------------------------------------------------
@@ -171,7 +180,7 @@ def is_cautiously_fair(m: StrengthMatrix, q: SLFQuery) -> bool:
 
 def exceed_count(m: StrengthMatrix, x: str, t: float) -> int:
     """Number of steps at which x is at or above the threshold."""
-    return sum(_states(m, SLFQuery(topics=frozenset({x}), threshold=t))[x])
+    return fairness_report(m, SLFQuery({x}, t)).exceed_counts[x]
 
 
 def area_between_piecewise(
@@ -202,7 +211,12 @@ def shannon_base(dist: dict[str, Fraction]) -> int:
 
 def fairness_report(m: StrengthMatrix, q: SLFQuery) -> FairnessReport:
     """Counts, curve, line, and both gradual scores from one state pass."""
-    counts = {x: sum(s) for x, s in _states(m, q).items()}
+    return _report(_states(m, q))
+
+
+def _report(states: dict[str, list[bool]]) -> FairnessReport:
+    """The gradual fairness reduction of the state table."""
+    counts = {x: sum(s) for x, s in states.items()}
     # ascending by count, ties broken by id for reproducible reports
     ordering = tuple(sorted(counts, key=lambda x: (counts[x], x)))
     curve = [(0, 0)]

@@ -26,7 +26,7 @@ from .graph import (
     _set_field,
     validate_strength,
 )
-from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate
+from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate, evaluate
 
 
 class Chain(_Record):
@@ -226,13 +226,11 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
         try:
             values = _propagate(g, sem, index, _ordered(cone, index.successors), sigma)
         except (CyclicGraph, StrengthOutOfRange):
-            # the cone's order is not a slice of the step's: evaluating the
-            # whole step words the error as evaluate(g, sem) would
+            # the cone's order is not a slice of the step's: word the error as evaluate does
             try:
-                order = _ordered(g.args, index.successors)
+                evaluate(g, sem)
             except CyclicGraph as exc:
                 raise CyclicGraph(f"step {i}: {exc}") from None
-            _propagate(g, sem, index, order, dict.fromkeys(sorted(g.args)))
             raise
         rows.append(StrengthAssignment(values=values))
     return StrengthMatrix(rows=tuple(rows))

@@ -24,17 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .analysis import (
-    SLFQuery,
-    fairness_report,
-    fluctuation_count,
-    is_cautiously_fair,
-    is_ideally_fair,
-    is_live,
-    is_lively_fair,
-    is_strongly_safe,
-    is_weakly_safe,
-)
+from .analysis import SLFQuery, _report, _states, _verdicts, fairness_report
 from .chain import (
     Chain,
     _acyclic_steps,
@@ -93,9 +83,10 @@ def _fail(message: str) -> None:
 
 
 def _shown(path: str) -> str:
-    """The path with its control and line-break characters escaped, for one line."""
+    """The path with control, line-break and lone surrogate characters escaped, for one line."""
     controls = (*range(32), *range(127, 160), 0x2028, 0x2029)
-    return path.translate({c: ascii(chr(c))[1:-1] for c in controls})
+    escaped = path.translate({c: ascii(chr(c))[1:-1] for c in controls})
+    return escaped.encode("utf-8", "backslashreplace").decode("utf-8")  # \udcfc, as stderr writes it
 
 
 def _read_text(path: str) -> str:
@@ -177,22 +168,14 @@ def analyze(
     fmt: str,
 ) -> None:
     """Run safety, liveness, and fairness checks on a chain."""
-    matrix, query = _query(chain_path, topics, threshold, semantics_name)
+    states = _states(*_query(chain_path, topics, threshold, semantics_name))
     result: dict[str, object] = {}
+    for group, verdicts in _verdicts(states).items():
+        if checks in (group, "all"):
+            result.update(verdicts)
     report = None
-    if checks in ("safety", "all"):
-        result["strongly_safe"] = is_strongly_safe(matrix, query)
-        result["weakly_safe"] = is_weakly_safe(matrix, query)
-    if checks in ("liveness", "all"):
-        result["fluctuations"] = {
-            x: fluctuation_count(matrix, x, threshold) for x in query.sorted_topics()
-        }
-        result["live"] = is_live(matrix, query)
     if checks in ("fairness", "all"):
-        result["ideally_fair"] = is_ideally_fair(matrix, query)
-        result["lively_fair"] = is_lively_fair(matrix, query)
-        result["cautiously_fair"] = is_cautiously_fair(matrix, query)
-        report = fairness_report(matrix, query)
+        report = _report(states)
         result["gini_score"] = report.gini_score
         result["shannon_score"] = report.shannon_score
 

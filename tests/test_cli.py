@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import qbag.analysis
 import qbag.chain
 from qbag import (
     build_chain,
@@ -104,6 +105,22 @@ def cyclic_chain_path(tmp_path):
     path = tmp_path / "cyclic.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def states_calls(monkeypatch):
+    """The calls made of qbag.analysis._states, the one trajectory reader, by any module."""
+    original, calls = qbag.analysis._states, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (qbag.analysis, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestValidate:
@@ -247,6 +264,15 @@ class TestAnalyze:
         result = runner.invoke(main, [command, chain_path, *options])
         assert result.exit_code == 0
         assert result.stdout == case["stdout"]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "csv"])
+    @pytest.mark.parametrize("checks", ["safety", "liveness", "fairness", "all"])
+    def test_builds_the_state_table_once(self, runner, chain_path, states_calls, checks, fmt):
+        # every verdict and score is a reduction of the one table
+        options = ["--topics", "a,b,c", "--threshold", "0.2", "--checks", checks, "--format", fmt]
+        result = runner.invoke(main, ["analyze", chain_path, *options])
+        assert result.exit_code == 0
+        assert len(states_calls) == 1
 
     def test_threshold_out_of_range_fails(self, runner, chain_path):
         result = runner.invoke(
@@ -612,6 +638,11 @@ class TestCurve:
             _, curve_y, line_y = line.split(",")
             assert curve_y == line_y
 
+    def test_builds_the_state_table_once(self, runner, chain_path, states_calls):
+        result = runner.invoke(main, ["curve", chain_path, "--topics", "a,b,c", "--threshold", "0.2"])
+        assert result.exit_code == 0
+        assert len(states_calls) == 1
+
     def test_unknown_topic_fails(self, runner, chain_path):
         result = runner.invoke(
             main, ["curve", chain_path, "--topics", "z", "--threshold", "0.2"]
@@ -961,6 +992,25 @@ class TestCommandLine:
     def test_only_control_characters_of_a_path_are_escaped(self):
         assert cli._shown("dir/ä b\\'\"$.json") == "dir/ä b\\'\"$.json"
         assert cli._shown("a\tb\x1b\x7f\x85\u2028.json") == "a\\tb\\x1b\\x7f\\x85\\u2028.json"
+
+    def test_lone_surrogates_of_a_path_are_escaped(self):
+        assert cli._shown("a\udcfc\ud800.json") == "a\\udcfc\\ud800.json"
+
+    def test_out_path_that_is_not_utf8_is_shown_escaped(self, sweep_path, tmp_path):
+        # the byte 0xfc decodes to the lone surrogate U+DCFC, which a strict
+        # UTF-8 stdout cannot write as it is
+        try:
+            out = tmp_path / os.fsdecode(b"\xfc.json")
+            out.touch()
+        except (UnicodeError, OSError):
+            out = None
+        if out is None or out.name != "\udcfc.json":
+            pytest.skip("os.fsencode cannot name a file with the byte 0xfc here")
+        args = ["sweep", sweep_path, *_SWEEP, "--steps", "2", "--out", str(out)]
+        run = _run_module(args, {"PYTHONIOENCODING": "utf-8:strict"})
+        shown = os.path.join(str(tmp_path), "\\udcfc.json")
+        assert (run.returncode, run.stdout, run.stderr) == (0, f"wrote {shown}\n".encode(), b"")
+        assert len(parse_chain(out.read_text(encoding="utf-8"))) == 2
 
     def test_ids_are_written_verbatim(self, runner, tmp_path):
         # escape sequences in an id are written as they are, terminal or not
