@@ -34,7 +34,7 @@ from typing import Collection, Sequence
 
 from .chain import StrengthMatrix
 from .errors import EmptyTopicSet
-from .graph import _Record, _set_field, validate_strength
+from .graph import _Record, validate_strength
 
 
 class SLFQuery(_Record):
@@ -49,8 +49,7 @@ class SLFQuery(_Record):
         topics = frozenset(topics)
         if not topics:
             raise EmptyTopicSet("query needs at least one topic argument")
-        _set_field(self, "topics", topics)
-        _set_field(self, "threshold", validate_strength(threshold, owner="threshold"))
+        super().__init__(topics, validate_strength(threshold, owner="threshold"))
 
     def sorted_topics(self) -> list[str]:
         return sorted(self.topics)
@@ -61,10 +60,6 @@ class FairnessLine(_Record):
 
     slope: Fraction
     endpoints: tuple[tuple[int, int], tuple[int, int]]
-
-    def __init__(self, slope: Fraction, endpoints: tuple[tuple[int, int], tuple[int, int]]) -> None:
-        _set_field(self, "slope", slope)
-        _set_field(self, "endpoints", endpoints)
 
 
 class FairnessReport(_Record):
@@ -79,28 +74,6 @@ class FairnessReport(_Record):
     p: dict[str, Fraction] | None
     base_b: int | None
     shannon_score: float
-
-    def __init__(
-        self,
-        exceed_counts: dict[str, int],
-        ordering: tuple[str, ...],
-        curve_points: tuple[tuple[int, int], ...],
-        line_slope: Fraction,
-        gini_area: Fraction,
-        gini_score: float,
-        p: dict[str, Fraction] | None,
-        base_b: int | None,
-        shannon_score: float,
-    ) -> None:
-        _set_field(self, "exceed_counts", exceed_counts)
-        _set_field(self, "ordering", ordering)
-        _set_field(self, "curve_points", curve_points)
-        _set_field(self, "line_slope", line_slope)
-        _set_field(self, "gini_area", gini_area)
-        _set_field(self, "gini_score", gini_score)
-        _set_field(self, "p", p)
-        _set_field(self, "base_b", base_b)
-        _set_field(self, "shannon_score", shannon_score)
 
 
 # -- the threshold states --------------------------------------------------

@@ -23,7 +23,6 @@ from .graph import (
     _Index,
     _ordered,
     _Record,
-    _set_field,
     validate_strength,
 )
 from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate, evaluate
@@ -33,9 +32,6 @@ class Chain(_Record):
     """Ordered non-empty sequence of graphs."""
 
     steps: tuple[QBAG, ...]
-
-    def __init__(self, steps: tuple[QBAG, ...]) -> None:
-        _set_field(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -58,9 +54,9 @@ class StrengthMatrix(_Record):
     rows: tuple[StrengthAssignment, ...]
 
     def __init__(self, rows: tuple[StrengthAssignment, ...]) -> None:
-        _set_field(self, "rows", rows)
         if not rows:
             raise EmptyChain("a strength matrix needs at least one row")
+        super().__init__(rows)
 
     def __len__(self) -> int:
         return len(self.rows)

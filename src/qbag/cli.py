@@ -49,7 +49,8 @@ from .serialize import (
     report_to_dict,
 )
 
-# a sweep chain is built whole in memory, so the grid is capped
+# caps the grid, not memory: a sweep chain is built whole, at about 23 bytes
+# per argument per step (45 with --csv, which also holds the strengths)
 MAX_SWEEP_STEPS = 1_000_000
 # characters per read of a chain file, which is decoded a window of whole steps at a time
 _READ_CHUNK = 1 << 16

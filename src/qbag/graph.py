@@ -31,19 +31,17 @@ from .errors import (
 Edge = tuple[str, str]
 
 
-# object.__setattr__ sets a field of a record, past its frozen __setattr__
-_set_field = object.__setattr__
-
-
 class _Record:
     """A frozen record, as ``@dataclass(frozen=True)`` makes one.
 
-    A subclass declares its fields as class annotations and sets each of
-    them in its own ``__init__`` with :data:`_set_field`; a generic
-    ``__init__`` would cost about half as much again per record.
-    Afterwards, assigning or deleting an attribute raises AttributeError.
-    Records are equal when their types and field values are, hash as the
-    tuple of their field values, and have the dataclass ``repr``.
+    Its fields are the class annotations, bound from the constructor's
+    values in annotation order, positionally or by keyword; a missing,
+    unknown or repeated field raises TypeError.  Only a record that copies
+    or checks a value writes its own ``__init__``, which passes the values
+    on to this one.  Assigning or deleting an attribute raises
+    AttributeError.  Records are equal when their types and field values
+    are, hash as the tuple of their field values, and have the dataclass
+    ``repr``.
     """
 
     __slots__ = ()
@@ -51,6 +49,24 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__match_args__
+        set_field = object.__setattr__  # past the frozen __setattr__
+        if len(values) > len(fields):
+            self._refuse(f"takes {len(fields)} values, got {len(values)}")
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                self._refuse(f"missing field {name!r}")
+            set_field(self, name, named.pop(name))
+        for name in named:
+            self._refuse(f"field {name!r} given twice" if name in fields else f"unknown field {name!r}")
+
+    def _refuse(self, problem: str) -> None:
+        fields = ", ".join(self.__match_args__)
+        raise TypeError(f"{type(self).__qualname__}({fields}): {problem}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -93,10 +109,7 @@ class QBAG(_Record):
     def __init__(
         self, args: frozenset[str], tau: Mapping[str, float], att: frozenset[Edge], supp: frozenset[Edge]
     ) -> None:
-        _set_field(self, "args", args)
-        _set_field(self, "tau", MappingProxyType(dict(tau)))
-        _set_field(self, "att", att)
-        _set_field(self, "supp", supp)
+        super().__init__(args, MappingProxyType(dict(tau)), att, supp)
 
     def __hash__(self) -> int:
         return hash((self.args, self.att, self.supp))

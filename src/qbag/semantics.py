@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import StrengthOutOfRange, UnknownSemantics
-from .graph import QBAG, _Index, _index, _ordered, _Record, _set_field
+from .graph import QBAG, _Index, _index, _ordered, _Record
 
 
 class SemanticsDescriptor(_Record):
@@ -35,16 +35,6 @@ class SemanticsDescriptor(_Record):
     aggregation: Callable[[Sequence[float], Sequence[float]], float]
     influence: Callable[[float, float], float]
 
-    def __init__(
-        self,
-        name: str,
-        aggregation: Callable[[Sequence[float], Sequence[float]], float],
-        influence: Callable[[float, float], float],
-    ) -> None:
-        _set_field(self, "name", name)
-        _set_field(self, "aggregation", aggregation)
-        _set_field(self, "influence", influence)
-
 
 class StrengthAssignment(_Record):
     """Final strength per argument of one evaluated graph.
@@ -54,9 +44,6 @@ class StrengthAssignment(_Record):
     """
 
     values: Mapping[str, float]
-
-    def __init__(self, values: Mapping[str, float]) -> None:
-        _set_field(self, "values", values)
 
     def __getitem__(self, x: str) -> float:
         return self.values[x]

@@ -488,6 +488,22 @@ class TestRecordContract:
         assert type(record)(*values) == type(record)(**dict(zip(fields, values))) == record
 
     @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_construction_refuses_a_wrong_set_of_fields(self, name):
+        record = _records()[name]
+        cls, fields = type(record), type(record).__match_args__
+        values = [getattr(record, f) for f in fields]
+        calls = {
+            "a missing field": lambda: cls(*values[:-1]),
+            "an unknown keyword": lambda: cls(*values, extra=1),
+            "a field given both ways": lambda: cls(values[0], **dict(zip(fields, values))),
+            "one positional too many": lambda: cls(*values, None),
+        }
+        for what, call in calls.items():
+            with pytest.raises(TypeError, match=name):
+                call()
+                pytest.fail(f"{name} accepted {what}")
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
     def test_equality_is_by_type_and_fields(self, name):
         record, twin = _records()[name], _records()[name]
         assert record == twin and not record != twin
