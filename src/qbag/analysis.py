@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import pairwise
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .chain import StrengthMatrix
 from .errors import EmptyTopicSet
@@ -63,17 +63,21 @@ class FairnessLine(_Record):
 
 
 class FairnessReport(_Record):
-    """Everything the gradual fairness scores are made of."""
+    """Everything the gradual fairness scores are made of.
 
-    exceed_counts: dict[str, int]
+    ``exceed_counts`` and ``p`` are read-only views.
+    """
+
+    exceed_counts: Mapping[str, int]
     ordering: tuple[str, ...]
     curve_points: tuple[tuple[int, int], ...]
     line_slope: Fraction
     gini_area: Fraction
     gini_score: float
-    p: dict[str, Fraction] | None
+    p: Mapping[str, Fraction] | None
     base_b: int | None
     shannon_score: float
+    _views = ("exceed_counts", "p")
 
 
 # -- the threshold states --------------------------------------------------
@@ -257,7 +261,8 @@ def exceed_distribution(
     Undefined (None) when no topic ever reaches the threshold.  When
     defined the values sum to exactly 1.
     """
-    return fairness_report(m, q).p
+    p = fairness_report(m, q).p
+    return None if p is None else dict(p)
 
 
 def shannon_fairness(m: StrengthMatrix, q: SLFQuery) -> float:

@@ -21,6 +21,7 @@ from .graph import (
     _added,
     _extend_index,
     _Index,
+    _index,
     _ordered,
     _Record,
     validate_strength,
@@ -161,18 +162,19 @@ def _plans(c: Chain) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
 
     Every step extends a graph it contains.  A step that keeps every
     argument and edge of the previous one extends the previous step, and
-    the index is extended in place.  Any other step extends the empty
-    graph ``_EMPTY`` from a fresh index.  The changed arguments are those
-    whose in-edges changed: all of a rebuilt step's, none of a step that
-    shares its predecessor's structure.
+    the index is extended in place.  Any other step, the first included,
+    extends the empty graph ``_EMPTY`` from a fresh index.  The changed
+    arguments are those whose in-edges changed: all of a rebuilt step's,
+    none of a step that shares its predecessor's structure.
     """
-    prev, index = _EMPTY, _Index({}, {}, {})
+    prev = _EMPTY
     for g in c.steps:
-        added = _added(prev, g.args, g.att, g.supp)
+        added = None if prev is _EMPTY else _added(prev, g.args, g.att, g.supp)
         if added is None:
-            prev, index = _EMPTY, _Index({}, {}, {})
-            added = g.args, g.att, g.supp
-        yield g, prev, index, _extend_index(index, *added)
+            prev, index, changed = _EMPTY, _index(g), set(g.args)
+        else:
+            changed = _extend_index(index, *added)
+        yield g, prev, index, changed
         prev = g
 
 
@@ -211,16 +213,17 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
     them for the first step that fails.
     """
     rows: list[StrengthAssignment] = []
+    sigma: dict[str, float] = {}
     for i, (g, base, index, changed) in enumerate(_plans(c), start=1):
         cone = _downstream(index.successors, changed | _retuned(base, g))
-        last = rows[-1].values if base is not _EMPTY else {}
-        # a copy keeps the ascending key order; new arguments need a merge
-        if len(last) == len(g.args):
-            sigma = dict(last)
-        else:
-            sigma = dict.fromkeys(sorted(g.args)) | last
+        # each row holds a copy, so sigma is carried from step to step;
+        # new arguments need a merge that keeps the ascending key order
+        if base is _EMPTY:
+            sigma = {}
+        if len(sigma) != len(g.args):
+            sigma = dict.fromkeys(sorted(g.args)) | sigma
         try:
-            values = _propagate(g, sem, index, _ordered(cone, index.successors), sigma)
+            _propagate(g, sem, index, _ordered(cone, index.successors), sigma)
         except (CyclicGraph, StrengthOutOfRange):
             # the cone's order is not a slice of the step's: word the error as evaluate does
             try:
@@ -228,7 +231,7 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
             except CyclicGraph as exc:
                 raise CyclicGraph(f"step {i}: {exc}") from None
             raise
-        rows.append(StrengthAssignment(values=values))
+        rows.append(StrengthAssignment(values=sigma))
     return StrengthMatrix(rows=tuple(rows))
 
 

@@ -36,16 +36,19 @@ class _Record:
 
     Its fields are the class annotations, bound from the constructor's
     values in annotation order, positionally or by keyword; a missing,
-    unknown or repeated field raises TypeError.  Only a record that copies
-    or checks a value writes its own ``__init__``, which passes the values
-    on to this one.  Assigning or deleting an attribute raises
-    AttributeError.  Records are equal when their types and field values
-    are, hash as the tuple of their field values, and have the dataclass
-    ``repr``.
+    unknown or repeated field raises TypeError.  A field named in
+    ``_views`` holds a mapping, stored as a read-only view of a copy of
+    the one given, or None.  Only a record that checks a value writes its
+    own ``__init__``, which passes the values on to this one.  Assigning
+    or deleting an attribute raises AttributeError.  Records are equal
+    when their types and field values are, hash as the tuple of their
+    field values with each view as the frozenset of its items, and have
+    the dataclass ``repr``.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _views: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
@@ -63,6 +66,10 @@ class _Record:
             set_field(self, name, named.pop(name))
         for name in named:
             self._refuse(f"field {name!r} given twice" if name in fields else f"unknown field {name!r}")
+        for name in self._views:
+            value = getattr(self, name)
+            if value is not None:
+                set_field(self, name, MappingProxyType(dict(value)))
 
     def _refuse(self, problem: str) -> None:
         fields = ", ".join(self.__match_args__)
@@ -77,7 +84,13 @@ class _Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        values = self._values()
+        return hash(tuple([frozenset(v.items()) if type(v) is MappingProxyType else v for v in values]))
+
+    def __reduce__(self) -> tuple:
+        # a view does not pickle; the constructor makes a new one from a dict
+        values = self._values()
+        return type(self), tuple([dict(v) if type(v) is MappingProxyType else v for v in values])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -105,11 +118,7 @@ class QBAG(_Record):
     tau: Mapping[str, float]
     att: frozenset[Edge]
     supp: frozenset[Edge]
-
-    def __init__(
-        self, args: frozenset[str], tau: Mapping[str, float], att: frozenset[Edge], supp: frozenset[Edge]
-    ) -> None:
-        super().__init__(args, MappingProxyType(dict(tau)), att, supp)
+    _views = ("tau",)
 
     def __hash__(self) -> int:
         return hash((self.args, self.att, self.supp))
@@ -119,10 +128,6 @@ class QBAG(_Record):
             f"QBAG(args={sorted(self.args)}, "
             f"att={sorted(self.att)}, supp={sorted(self.supp)})"
         )
-
-    def __reduce__(self) -> tuple:
-        # the read-only view of tau does not pickle; the constructor makes a new one
-        return QBAG, (self.args, dict(self.tau), self.att, self.supp)
 
 
 def validate_strength(value: float, owner: str = "strength") -> float:
@@ -238,6 +243,9 @@ def _extend_qbag(
     return QBAG(args, tau, att, supp)
 
 
+_NOTHING = frozenset(), frozenset(), frozenset()  # what a step that shares prev's sets adds
+
+
 def _added(
     prev: QBAG, args: frozenset[str], att: frozenset[Edge], supp: frozenset[Edge]
 ) -> tuple[frozenset[str], frozenset[Edge], frozenset[Edge]] | None:
@@ -251,7 +259,7 @@ def _added(
     the differences decide containment, in one pass over each set.
     """
     if args is prev.args and att is prev.att and supp is prev.supp:
-        return frozenset(), frozenset(), frozenset()
+        return _NOTHING
     for old, given in ((prev.att, att), (prev.supp, supp)):
         if old and next(iter(old)) not in given:
             return None
@@ -291,14 +299,21 @@ class _Index(NamedTuple):
 
 
 def _index(g: QBAG) -> _Index:
-    """The index of the empty graph, extended by all of g; O(V + E log E).
+    """The index of g, equal to the empty index extended by all of g; O(V + E log E).
 
-    Built per call and never stored on the graph: keeping it on every
-    step of a long chain would cost more memory than rebuilding it costs
-    time.
+    Each list is built by appending and then sorted once.  Built per
+    call and never stored on the graph: keeping it on every step of a
+    long chain would cost more memory than rebuilding it costs time.
     """
-    index = _Index({}, {}, {})
-    _extend_index(index, g.args, g.att, g.supp)
+    index = _Index({x: [] for x in g.args}, {x: [] for x in g.args}, {x: [] for x in g.args})
+    successors = index.successors
+    for relation, in_lists in ((g.att, index.attackers), (g.supp, index.supporters)):
+        for s, t in relation:
+            successors[s].append(t)
+            in_lists[t].append(s)
+    for lists in index:
+        for neighbours in lists.values():
+            neighbours.sort()
     return index
 
 

@@ -39,11 +39,12 @@ class SemanticsDescriptor(_Record):
 class StrengthAssignment(_Record):
     """Final strength per argument of one evaluated graph.
 
-    :func:`evaluate` and :func:`qbag.chain.evaluate_chain` key ``values``
-    by ascending argument id.
+    ``values`` is a read-only view, as ``QBAG.tau`` is.  :func:`evaluate`
+    and :func:`qbag.chain.evaluate_chain` key it by ascending argument id.
     """
 
     values: Mapping[str, float]
+    _views = ("values",)
 
     def __getitem__(self, x: str) -> float:
         return self.values[x]

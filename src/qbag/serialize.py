@@ -29,13 +29,14 @@ parses to the same value or raises the same error.  Both readers check
 a step's entries and pairs by the same rules, and one builder makes every
 step an extension of the previous step or of the empty graph.  Likewise,
 a chain document and the CSV table of strengths are produced a step at a
-time, and a step renders only the strengths that changed from the step
-before.
+time, and a step of a document is written as the same extension: only
+what it adds, and the strengths that changed, are rendered.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from fractions import Fraction
 from itertools import compress
 from operator import is_not
@@ -44,7 +45,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .analysis import FairnessReport
 from .chain import Chain, StrengthMatrix, build_chain
 from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
-from .graph import _EMPTY, QBAG, Edge, _extend_qbag, build_qbag
+from .graph import _EMPTY, QBAG, Edge, _added, _extend_qbag, build_qbag
 
 FORMAT_VERSION = "1"
 # decimal places of the gradual fairness scores in every rendered report
@@ -423,51 +424,93 @@ def _block(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _relation(relation: frozenset[Edge], pad: str, rendered: dict) -> str:
-    text = rendered.get(relation)
-    if text is None:
-        head = f"{pad}  [\n{pad}    "
-        middle = f",\n{pad}    "
-        tail = f"\n{pad}  ]"
-        text = _block(
-            [head + _string(s) + middle + _string(t) + tail for s, t in sorted(relation)],
-            pad,
-        )
-        rendered[relation] = text
-    return text
+def _merged(keys: list, items: list, new: Iterable, render: Callable) -> tuple[list, list]:
+    """keys with the new keys in sorted place, and items with their parts at the same places.
 
-
-def _payload(g: QBAG, pad: str, rendered: dict, parts: list[str]) -> None:
-    """Append the arguments/attacks/supports keys of one graph, indented by pad.
-
-    ``rendered`` maps each relation already written in this call to its
-    text, and each argument id to the text before its strength, so the
-    steps of a sweep render their shared edges and ids once.  The key is
-    one part, then come "[\n" and three parts per argument in id order:
-    the text before its strength, the strength, the text after it.
+    render gives the parts of sorted keys, as many per key as items holds.
+    The runs of old keys and parts between the new ones are copied as slices.
     """
-    parts.append(f'{pad}"arguments": ')
-    args = sorted(g.args)
-    if args:
-        head = f'{pad}  {{\n{pad}    "id": '
-        middle = f',\n{pad}    "initial": '
-        separator = f"\n{pad}  }},\n"
-        tau = g.tau
-        parts.append("[\n")
-        for x in args:
-            lead = rendered.get(x)
+    new = sorted(new)
+    rendered = render(new)
+    if not keys:
+        return new, rendered
+    width, start = len(rendered) // len(new), 0
+    merged_keys: list = []
+    merged_items: list = []
+    for j, key in enumerate(new):
+        i = bisect(keys, key, start)
+        merged_keys += keys[start:i]
+        merged_keys.append(key)
+        merged_items += items[width * start : width * i] + rendered[width * j : width * (j + 1)]
+        start = i
+    return merged_keys + keys[start:], merged_items + items[width * start :]
+
+
+def _payloads(graphs: Iterable[QBAG], pad: str, end: str) -> Iterator[list[str]]:
+    """The parts of the arguments/attacks/supports keys of each graph, indented by pad.
+
+    Part 0 is left for the caller.  Then come the key, "[\n", three parts
+    per argument in id order (the text before its strength, the strength,
+    the text after it), a key and a block per relation, and end.  Each
+    graph extends the last one or, if it drops anything, the empty graph,
+    as in ``chain._plans``: only what ``graph._added`` gives is rendered,
+    and a kept strength only when it is not the same object as the last
+    graph's.  The same object renders the same text, while == would mix
+    up 0.0 and -0.0, or 1 and 1.0.
+    """
+    head, middle = f'{pad}  {{\n{pad}    "id": ', f',\n{pad}    "initial": '
+    separator, close = f"\n{pad}  }},\n", f"\n{pad}  }}\n{pad}]"
+    pair_head, pair_middle, pair_tail = f"{pad}  [\n{pad}    ", f",\n{pad}    ", f"\n{pad}  ]"
+    keys_text = f'{pad}"arguments": ', f',\n{pad}"attacks": ', f',\n{pad}"supports": '
+    leads: dict[str, str] = {}  # the text before each id's strength, rendered once
+
+    def arguments(ids: list[str]) -> list[str]:
+        parts: list[str] = []
+        for x in ids:
+            lead = leads.get(x)
             if lead is None:
-                lead = rendered[x] = head + _string(x) + middle
+                lead = leads[x] = head + _string(x) + middle
             parts += (lead, _number(tau[x]), separator)
-        parts[-1] = f"\n{pad}  }}\n{pad}]"
-    else:
-        parts.append("[]")
-    parts += (
-        f',\n{pad}"attacks": ',
-        _relation(g.att, pad, rendered),
-        f',\n{pad}"supports": ',
-        _relation(g.supp, pad, rendered),
-    )
+        return parts
+
+    def pairs(edges: list[Edge]) -> list[str]:
+        return [pair_head + _string(s) + pair_middle + _string(t) + pair_tail for s, t in edges]
+
+    def relation(old: tuple, new: frozenset[Edge]) -> tuple[list, list, str]:
+        edges, texts = _merged(old[0], old[1], new, pairs)
+        return edges, texts, _block(texts, pad)
+
+    last = None
+    for g in graphs:
+        tau = g.tau
+        added = None if last is None else _added(last, g.args, g.att, g.supp)
+        if added is None:  # the first graph, or one that drops something
+            last, order, ids, args = _EMPTY, None, [], []
+            attacks = supports = [], [], "[]"
+            added = g.args, g.att, g.supp
+        new_args, new_att, new_supp = added
+        if new_args:
+            ids, args = _merged(ids, args, new_args, arguments)
+        if new_att:
+            attacks = relation(attacks, new_att)
+        if new_supp:
+            supports = relation(supports, new_supp)
+        # values holds the last strengths in the key order of tau, and
+        # slots the index in args of each; the added ones are rendered
+        if last is not _EMPTY:
+            now, now_values = list(tau), list(tau.values())
+            if now != order:
+                rank = dict(zip(ids, range(1, len(args), 3)))
+                slots = list(map(rank.__getitem__, now))
+                values = list(map(last.tau.get, now, now_values))
+                order = now
+            for slot, value in compress(zip(slots, now_values), map(is_not, now_values, values)):
+                args[slot] = _number(value)
+            values = now_values
+        parts = [None, keys_text[0], "[\n", *args, keys_text[1], attacks[2], keys_text[2], supports[2], end]
+        parts[len(args) + 2] = close if args else "[]"  # the last separator, or "[\n"
+        yield parts
+        last = g
 
 
 def _envelope(kind: str) -> str:
@@ -475,9 +518,9 @@ def _envelope(kind: str) -> str:
 
 
 def serialize_qbag(g: QBAG) -> str:
-    parts = [_envelope("qbag")]
-    _payload(g, "  ", {}, parts)
-    parts.append("\n}\n")
+    """The qbag document: the extension of the empty graph by g."""
+    parts = next(_payloads((g,), "  ", "\n}\n"))
+    parts[0] = _envelope("qbag")
     return "".join(parts)
 
 
@@ -490,37 +533,17 @@ def serialize_chain(c: Chain) -> str:
 
 
 def _chain_parts(c: Chain) -> Iterator[list[str]]:
-    """The parts of a chain document: one list per step, then the close."""
-    rendered: dict = {}
+    """The parts of a chain document: one list per step, then the close.
+
+    Each step is rendered as an extension of the step before it, or of
+    the empty graph, as ``_payloads`` says, so a step costs what it adds
+    and the strengths it changes: a step of a sweep renders one strength.
+    """
     lead = _CHAIN_OPEN + _STEP_BRACE
-    last = keys = None
-    for g in c.steps:
-        spliced = False
-        if last is not None and g.args is last.args and g.att is last.att and g.supp is last.supp:
-            # A step with the structure of the last one copies its parts and
-            # renders only the strengths that are not the same object: the
-            # same object renders the same text, while == would mix up 0.0
-            # and -0.0, or 1 and 1.0.  Part 3i + 4 of a step is the strength
-            # of its i-th argument in id order.
-            if keys is None:
-                keys, values = list(last.tau), list(last.tau.values())
-                rank = {x: 3 * i + 4 for i, x in enumerate(sorted(keys))}
-                slots = list(map(rank.__getitem__, keys))
-            last_values, values = values, list(g.tau.values())
-            spliced = list(g.tau) == keys
-        if spliced:
-            parts = parts.copy()  # the last list is the caller's
-            parts[0] = lead
-            for slot, value in compress(zip(slots, values), map(is_not, values, last_values)):
-                parts[slot] = _number(value)
-        else:
-            parts = [lead]
-            _payload(g, "      ", rendered, parts)
-            parts.append(_STEP_CLOSE)
-            keys = None
+    for parts in _payloads(c.steps, "      ", _STEP_CLOSE):
+        parts[0] = lead
         yield parts
         lead = _STEP_SEPARATOR + _STEP_BRACE
-        last = g
     yield [_CHAIN_CLOSE]
 
 

@@ -339,6 +339,14 @@ class TestDistribution:
         dist = exceed_distribution(dialogue_matrix, query({"a", "b", "c"}, 0.2))
         assert dist == {"a": Fraction(2, 7), "b": Fraction(2, 7), "c": Fraction(3, 7)}
 
+    def test_returns_a_dict_of_its_own(self, dialogue_matrix):
+        # the report holds a read-only view; this function's result is a plain dict
+        q = query({"a", "b", "c"}, 0.2)
+        dist = exceed_distribution(dialogue_matrix, q)
+        assert type(dist) is dict
+        dist["a"] = Fraction(1)
+        assert exceed_distribution(dialogue_matrix, q)["a"] == Fraction(2, 7)
+
     def test_undefined_without_exceedances(self, dialogue_matrix):
         assert exceed_distribution(dialogue_matrix, query({"a", "b"}, 0.9)) is None
 

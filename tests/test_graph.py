@@ -41,7 +41,7 @@ from qbag import (
     topological_order,
 )
 import qbag.graph
-from qbag.graph import _EMPTY, _extend_qbag, _index
+from qbag.graph import _EMPTY, _extend_index, _extend_qbag, _index, _Index
 
 from .cases import dialogue, dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
 from .oracles import oracle_index
@@ -249,6 +249,12 @@ class TestIndex:
     @given(st.one_of(arbitrary_qbags(), exotic_qbags()))
     def test_index_equals_edge_scans(self, g):
         assert _index(g) == oracle_index(g)
+
+    @given(arbitrary_qbags())
+    def test_sorted_build_equals_the_insort_build(self, g):
+        index = _Index({}, {}, {})
+        _extend_index(index, g.args, g.att, g.supp)
+        assert _index(g) == index
 
 
 class TestReaches:
@@ -521,11 +527,27 @@ class TestRecordContract:
         assert repr(record) == repr(model)
         try:
             expected = hash(model)
-        except TypeError:  # a dict field: unhashable, as before
-            with pytest.raises(TypeError):
-                hash(record)
+        except TypeError:  # a read-only mapping field, hashed as the set of its items
+            assert hash(record) == hash(_records()[name])
         else:
             assert hash(record) == expected == hash(_records()[name])
+
+    @pytest.mark.parametrize("name, field", [
+        ("QBAG", "tau"), ("StrengthAssignment", "values"),
+        ("FairnessReport", "exceed_counts"), ("FairnessReport", "p"),
+    ])
+    def test_mapping_fields_are_read_only_copies(self, name, field):
+        record = _records()[name]
+        mapping = getattr(record, field)
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = 9
+        given = dict(mapping)
+        values = [given if f == field else getattr(record, f) for f in type(record).__match_args__]
+        built = type(record)(*values)
+        given[key] = 9  # the record holds a copy
+        assert built == record and getattr(built, field)[key] != 9
+        assert hash(built) == hash(record)
 
     def test_repr_names_every_field(self):
         query = SLFQuery(topics=frozenset({"a"}), threshold=0.5)

@@ -567,6 +567,43 @@ class TestChainTextWork:
         assert text == canonical_json(chain_document(c))
         assert len(calls) == len(sweep_base().args) + 199
 
+    @given(weak_expansion_chains(), st.data())
+    @settings(max_examples=100)
+    def test_serialize_renders_what_an_expansion_adds_or_changes(self, c, data):
+        # retune some kept arguments of each step: each step still contains the last
+        steps = [c[0]]
+        for g in c.steps[1:]:
+            kept = sorted(steps[-1].args)
+            retuned = data.draw(st.sets(st.sampled_from(kept), max_size=len(kept))) if kept else set()
+            tau = {x: data.draw(strengths) if x in retuned else v for x, v in g.tau.items()}
+            steps.append(build_qbag(tau.items(), g.att, g.supp))
+        c = build_chain(steps)
+        numbers, strings = [], []
+        original_number, original_string = serialize._number, serialize._string
+
+        def count_number(value):
+            numbers.append(value)
+            return original_number(value)
+
+        def count_string(text):
+            strings.append(text)
+            return original_string(text)
+
+        with mock.patch.object(serialize, "_number", count_number), \
+                mock.patch.object(serialize, "_string", count_string):
+            text = serialize_chain(c)
+        assert text == canonical_json(chain_document(c))
+        # one per argument's first strength and per strength that is a new object
+        rendered = sum(
+            x not in last.args or g.tau[x] is not last.tau[x]
+            for last, g in zip([build_qbag([]), *c.steps], c.steps)
+            for x in g.args
+        )
+        assert len(numbers) == rendered
+        # each id once, each distinct pair once (two strings)
+        last = c[-1]
+        assert len(strings) == len(last.args) + 2 * (len(last.att) + len(last.supp))
+
 
 class TestSplice:
     """serialize_chain re-renders a step's changed strengths only, and still
@@ -726,8 +763,11 @@ class TestCanonicalLayout:
     def test_qbag_matches_oracle(self, g):
         assert serialize_qbag(g) == canonical_json(qbag_document(g))
 
-    @given(st.one_of(chains(), shared_chains()))
-    @settings(max_examples=60)
+    @given(st.one_of(
+        chains(), shared_chains(), weak_expansion_chains(), evolving_chains(),
+        rewired_chains(), spliced_chains(), closing_chains(),
+    ))
+    @settings(max_examples=200)
     def test_chain_matches_oracle(self, c):
         assert serialize_chain(c) == canonical_json(chain_document(c))
 
