@@ -201,7 +201,12 @@ def _report(states: dict[str, list[bool]]) -> FairnessReport:
         curve.append((k, curve[-1][1] + counts[x]))
     n, total = curve[-1]
     slope = Fraction(total, n)
-    area = area_between_piecewise([slope * x for x, _ in curve], [Fraction(y) for _, y in curve])
+    # The counts ascend, so the curve's rises do too: the curve is convex and
+    # lies on or below its chord from (0, 0) to (n, total), the fairness line.
+    # No unit interval crosses the line, so each is a trapezoid, and the area
+    # is the sum of the gaps total*k/n - y_k at the breakpoints (both end gaps
+    # are 0): the Fraction area_between_piecewise gives, in integers.
+    area = Fraction(sum(total * k - n * y for k, y in curve), n)
     dist = base = None
     shannon = 1.0
     if total:

@@ -35,18 +35,15 @@ from .chain import (
     sweep_chain,
 )
 from .errors import QbagError
+from .export import _SCORE_PLACES, _strength_rows, export_curve_csv, report_to_dict
 from .semantics import evaluate, semantics_by_name
 from .serialize import (
-    _SCORE_PLACES,
     _canonical_steps,
     _chain_parts,
     _document_steps,
     _parse_steps,
-    _strength_rows,
-    export_curve_csv,
     parse_chain,
     parse_qbag,
-    report_to_dict,
 )
 
 # caps the grid, not memory: a sweep chain is built whole, at about 23 bytes

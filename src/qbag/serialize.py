@@ -1,4 +1,4 @@
-"""Document serialization and CSV export.
+"""Document serialization.
 
 Graphs and chains travel as JSON envelopes::
 
@@ -19,37 +19,38 @@ shortest round-trip form, so equal values always serialize to identical
 bytes.  parse(serialize(v)) returns a structurally equal value.
 
 A chain document in that canonical layout is decoded block by block:
-the envelope and key lines are matched as text, and a block decodes only
-the entries that the same block of the previous step did not have, so a
-block that repeats the previous step's text is not decoded at all.  The
-text may come in chunks, such as the reads of a file; the decoder then
-holds only the whole steps read so far.  Any other valid JSON, and any
-document with an error, goes through json.loads of the whole text; it
-parses to the same value or raises the same error.  Both readers check
-a step's entries and pairs by the same rules, and one builder makes every
-step an extension of the previous step or of the empty graph.  Likewise,
-a chain document and the CSV table of strengths are produced a step at a
-time, and a step of a document is written as the same extension: only
-what it adds, and the strengths that changed, are rendered.
+the envelope and key lines are matched as text, and each block is walked
+against the same block of the previous step.  It decodes only the entries
+it inserts or changes, the text it keeps costs compares in C and no work
+per entry, and a block that repeats the previous step's text is not
+decoded at all.  The text may come in chunks, such as the reads of a
+file; the decoder then holds only the whole steps read so far.  Any
+other valid JSON, and any document with an error, goes through
+json.loads of the whole text; it parses to the same value or raises the
+same error.  Both readers check a step's entries and pairs by the same
+rules, and one builder makes every step an extension of the previous
+step or of the empty graph.  Likewise, a chain document is written a
+step at a time, and a step as the same extension: only what it adds,
+and the strengths that changed, are rendered.
+
+The CSV tables and the report mapping are made in ``qbag.export``; its
+public functions are importable from here as well.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect
-from fractions import Fraction
 from itertools import compress
 from operator import is_not
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .analysis import FairnessReport
-from .chain import Chain, StrengthMatrix, build_chain
+from .chain import Chain, build_chain
 from .errors import DocumentError, EmptyChain, QbagError, StrengthOutOfRange
+from .export import export_curve_csv, export_strengths_csv, report_to_dict  # noqa: F401  (public here too)
 from .graph import _EMPTY, QBAG, Edge, _added, _extend_qbag, build_qbag
 
 FORMAT_VERSION = "1"
-# decimal places of the gradual fairness scores in every rendered report
-_SCORE_PLACES = 5
 _TOP_LEVEL_KEYS = {
     "qbag": {"format_version", "kind", "arguments", "attacks", "supports"},
     "chain": {"format_version", "kind", "steps"},
@@ -263,12 +264,16 @@ def _flat_arguments(value: object) -> list[tuple[str, int | float]]:
 
 # _Blocks reads the successive blocks of one key.  A block that repeats the
 # last one's text is the same list again.  Otherwise a block in the layout
-# is split on its separator; each piece the last block also had is taken
-# from its items, and only the new pieces are decoded, all in one call.
+# is walked against the last block's text.  Its pieces are the texts between
+# two separators, the opener and the close counting as separators here.
+# Each run of whole pieces the block keeps is taken as the last block's
+# items of those pieces, counted by their separators, and only the pieces
+# the block inserts or changes are decoded, all in one call.  Kept text
+# costs compares, finds and counts in C, and no Python work per piece.
 #
 # That is exact.  Neither separator can lie inside a JSON string, which
 # cannot hold a raw newline, so each brace (or bracket) of a separator is
-# structure.  The new pieces are joined with the same separator inside one
+# structure.  Decoded pieces are joined with the same separator inside one
 # more pair of brackets, "[{" + pieces + "}]", and the result counts only
 # if all of that text decodes to exactly one flat item per piece.  A flat
 # item holds no brace or bracket but its own, and the wrappers and
@@ -276,17 +281,22 @@ def _flat_arguments(value: object) -> list[tuple[str, int | float]]:
 # opens or closes another, each piece is the inside of exactly one item,
 # and the same piece text is the same value in any block.  A piece never
 # holds zero items: an empty one decodes to {} or [], which is not flat.
-# Only the pieces of a block read this way are taken again; a block
-# decoded whole keeps none.  A block made of such pieces is a JSON list of
-# their items, and it ends where its text ends, since no JSON value is a
-# proper prefix of another.
+# Kept text equals whole pieces of the last block and runs from one
+# separator to another that both blocks have at the same places, so it is
+# whole pieces of the new block too, with the same items.  Only a block
+# read this way is walked against; a block decoded whole counts as no
+# pieces, since its pieces are not known to be its items.  A block made of
+# such pieces is a JSON list of their items, and it ends where its text
+# ends, since no JSON value is a proper prefix of another.
 #
 # A block that keeps neither the first nor the last piece of the last one
-# is decoded whole, as a rewired step's blocks are: splitting it would not
+# is decoded whole, as a rewired step's blocks are: walking it would not
 # pay.  Only the last piece needs the block's end, found by a scan of its
 # text; a block that did not keep its predecessor's last piece is taken as
 # a sign that the next one will not either, so a run of rewired blocks
-# pays no scan.
+# pays no scan.  A walk that meets more than _EDIT_BUDGET edits stops, and
+# that block alone is decoded whole.
+_EDIT_BUDGET = 8
 
 
 class _Blocks:
@@ -294,12 +304,13 @@ class _Blocks:
 
     def __init__(self, brackets: str, flat: Callable[[object], list]) -> None:
         # a block in the layout is opener + pieces joined by separator + close
-        self.brackets = brackets
         self.opener = "[\n        " + brackets[0]
         self.separator = brackets[1] + ",\n        " + brackets[0]
         self.close = brackets[1] + "\n      ]"
         self.flat = flat
-        self.text = self.items = self.pieces = None  # of the last block
+        # the last block's text, its items, and the pieces they were read
+        # from, each after a separator, then one more (none if decoded whole)
+        self.text, self.items, self.inside = None, [], self.separator
         self.kept_tail = True
 
     def read(self, text: str, pos: int, follow: str) -> tuple[list, int]:
@@ -312,35 +323,89 @@ class _Blocks:
         if text.startswith(opener, pos):
             head = True
             if last is not None:
+                # the last block's first piece with the bracket after it, and its last
+                # piece with the close, also when it is the only piece
+                head = text.startswith(last[: last.find(separator) + 1 or 1 - len(close)], pos)
                 tail = last[last.rfind(separator) + len(separator) :]
-                head = text.startswith(last[: last.find(separator)], pos)
             if head or self.kept_tail:
                 end = text.find(close + follow, pos) + len(close)
                 if end >= len(close) and (head or text.endswith(tail, pos, end)):
-                    items = self._splice(text[pos + len(opener) : end - len(close)])
+                    items = self._walk(separator + text[pos + len(opener) : end - len(close)] + separator)
         if items is None:
             value, end = _decode(text, pos)
             items = self.flat(value)
-            self.pieces = None
+            self.inside = separator
         self.kept_tail = tail is None or text.endswith(tail, pos, end)
-        self.text = text[pos:end]
-        self.items = items
+        self.text, self.items = text[pos:end], items
         return items, _skip(text, end, follow)
 
-    def _splice(self, inside: str) -> list:
-        pieces = inside.split(self.separator)
-        items = list(map(dict(zip(self.pieces or (), self.items or ())).get, pieces))
-        missing = [i for i, item in enumerate(items) if item is None]
-        if missing:
-            joined = self.separator.join([pieces[i] for i in missing])
-            joined = f"[{self.brackets[0]}{joined}{self.brackets[1]}]"
-            value, end = _decode(joined)
+    def _walk(self, new: str) -> list | None:
+        """The items of the pieces in new, or None past the edit budget.
+
+        new has the layout of self.inside, which it replaces.  i and j are
+        at the separator before a piece of each.  Each round keeps the
+        longest run of whole pieces the two share there, then takes one
+        edit, decided by one look-ahead: the new piece replaces the old one
+        when the pieces after them agree; else the new pieces before the
+        old one are inserted, if it comes later in new; else the old
+        pieces before the new one are deleted, if it comes later in last;
+        else the new piece replaces the old one.  The inserted and replaced
+        pieces are decoded at the end, all in one call.
+        """
+        sep, last, old = self.separator, self.inside, self.items
+        # k is the index in old of the piece after j; spots, where in items
+        # each decoded run of pieces goes
+        size, i, j, k, items, spots = len(sep), 0, 0, 0, [], []
+        for _ in range(_EDIT_BUDGET + 1):  # a round per edit, and one to reach the end
+            # the common prefix of new[i:] and last[j:] is lo long, and one hi long is not
+            lo, hi = 0, min(len(new) - i, len(last) - j)
+            if new.startswith(last[j : j + hi], i):
+                lo = hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if new.startswith(last[j + lo : j + mid], i + lo):
+                    lo = mid
+                else:
+                    hi = mid
+            run = last.rfind(sep, j, j + lo) - j  # back to the last separator both have
+            # the pieces in the run, counted by the separators on its shorter side
+            if 2 * run < len(last) - j:
+                kept = last.count(sep, j, j + run)
+            else:
+                kept = len(old) - k - last.count(sep, j + run, len(last) - size)
+            items += old[k : k + kept]
+            i, j, k = i + run, j + run, k + kept
+            if i + size == len(new) or j + size == len(last):  # the pieces left are deleted or inserted
+                break
+            q, p = new.find(sep, i + size), last.find(sep, j + size)
+            after = last.find(sep, p + size)
+            if not (new.startswith(last[p : after + size], q) if after > 0 else q + size == len(new)):
+                found = new.find(last[j : p + size], q)
+                if found >= 0:  # the new pieces up to found are inserted, and j stays
+                    q, p, k = found, j, k - 1
+                else:
+                    found = last.find(new[i : q + size], p)
+                    if found >= 0:
+                        k += last.count(sep, j, found)
+                        j = found
+                        continue
+            spots.append((len(items), new[i + size : q]))
+            i, j, k = q, p, k + 1
+        else:
+            return None
+        if i + size < len(new):
+            spots.append((len(items), new[i + size : -size]))
+        if spots:
+            joined = sep.join([run for _, run in spots])
+            wrapped = f"[{sep[-1]}{joined}{sep[0]}]"
+            value, end = _decode(wrapped)
             value = self.flat(value)
-            if end != len(joined) or len(value) != len(missing):
+            if end != len(wrapped) or len(value) != joined.count(sep) + 1:
                 raise _OffLayout
-            for i, item in zip(missing, value):
-                items[i] = item
-        self.pieces = pieces
+            for at, run in reversed(spots):  # from the end, so each place stays put
+                cut = len(value) - run.count(sep) - 1
+                items[at:at], value[cut:] = value[cut:], []
+        self.inside = new
         return items
 
 
@@ -545,68 +610,3 @@ def _chain_parts(c: Chain) -> Iterator[list[str]]:
         yield parts
         lead = _STEP_SEPARATOR + _STEP_BRACE
     yield [_CHAIN_CLOSE]
-
-
-# -- CSV export ------------------------------------------------------------
-
-
-def _dec12(value: float | Fraction) -> str:
-    """Decimal rendering with up to 12 significant digits."""
-    return format(float(value), ".12g")
-
-
-def export_strengths_csv(m: StrengthMatrix) -> str:
-    """Long-format trajectory table: one row per (step, argument).
-
-    Steps are numbered from 1; arguments absent from a step contribute no
-    row.  Rows follow the step, then the row's key order, which is
-    ascending argument id for every matrix :func:`evaluate_chain` returns.
-    """
-    return "".join(_strength_rows(m))
-
-
-def _strength_rows(m: StrengthMatrix) -> Iterator[str]:
-    """The text of export_strengths_csv: the header, then each step's lines.
-
-    As in _chain_parts, a strength that is the same object as the last
-    step's keeps its rendered "x,value" line; only the others render.
-    """
-    yield "step,argument,final_strength\n"
-    keys = values = None
-    for i, row in enumerate(m.rows, start=1):
-        last_values, values = values, list(row.values.values())
-        if keys is not None and list(row.values) == keys:
-            for j in compress(range(len(keys)), map(is_not, values, last_values)):
-                cells[j] = f"{keys[j]},{_dec12(values[j])}\n"
-        else:
-            keys = list(row.values)
-            cells = [f"{x},{_dec12(v)}\n" for x, v in zip(keys, values)]
-        prefix = f"{i},"
-        yield prefix + prefix.join(cells) if cells else ""
-
-
-def export_curve_csv(report: FairnessReport) -> str:
-    """Safety curve and fairness line sampled at the integer breakpoints."""
-    lines = ["x,safety_curve_y,fairness_line_y"]
-    for x, y in report.curve_points:
-        lines.append(f"{x},{_dec12(y)},{_dec12(report.line_slope * x)}")
-    return "\n".join(lines) + "\n"
-
-
-def report_to_dict(report: FairnessReport) -> dict:
-    """Stable key-ordered mapping for structured output.
-
-    Rationals are rendered as exact 'numerator/denominator' strings;
-    scores are rounded to _SCORE_PLACES decimal places.
-    """
-    return {
-        "exceed_counts": dict(sorted(report.exceed_counts.items())),
-        "ordering": list(report.ordering),
-        "curve_points": [list(p) for p in report.curve_points],
-        "line_slope": str(report.line_slope),
-        "gini_area": str(report.gini_area),
-        "gini_score": round(report.gini_score, _SCORE_PLACES),
-        "p": None if report.p is None else {x: str(p) for x, p in sorted(report.p.items())},
-        "base_b": report.base_b,
-        "shannon_score": round(report.shannon_score, _SCORE_PLACES),
-    }

@@ -137,6 +137,23 @@ def weak_expansion_chains(draw, max_expansions: int = 3) -> Chain:
     return build_chain(steps)
 
 
+@st.composite
+def retuned_expansion_chains(draw) -> Chain:
+    """Weak expansion chains whose steps also retune some kept strengths.
+
+    Each step still contains the step before it, so every block of its
+    document keeps, inserts or changes entries and deletes none.
+    """
+    c = draw(weak_expansion_chains())
+    steps = [c[0]]
+    for g in c.steps[1:]:
+        kept = sorted(steps[-1].args)
+        retuned = draw(st.sets(st.sampled_from(kept))) if kept else set()
+        tau = {x: draw(strengths) if x in retuned else v for x, v in g.tau.items()}
+        steps.append(build_qbag(tau.items(), g.att, g.supp))
+    return build_chain(steps)
+
+
 # any character an id may hold: everything but whitespace and the comma,
 # so quotes, backslashes, control characters and non-ASCII text included
 id_texts = st.text(

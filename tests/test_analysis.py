@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbag import (
     EmptyChain,
@@ -33,6 +34,8 @@ from qbag import (
     shannon_base,
     shannon_fairness,
 )
+
+from qbag.analysis import _report
 
 from .cases import dialogue, sweep_dialogue
 from .oracles import (
@@ -292,7 +295,27 @@ class TestAreaBetween:
         assert area_between_piecewise([0, 2, 4], [0, 2, 4]) == 0
 
 
+@st.composite
+def state_tables(draw):
+    """Threshold states per topic, as analysis._states gives them: one row per topic."""
+    steps = draw(st.integers(1, 6))
+    topics = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
+    row = st.lists(st.booleans(), min_size=steps, max_size=steps)
+    return {x: draw(row) for x in sorted(topics)}
+
+
 class TestGini:
+    @given(state_tables())
+    @example({"a": [False, False], "b": [False, False]})  # all counts zero
+    @example({"a": [True, False], "b": [False, True], "c": [True, True]})  # a tie
+    @example({"a": [True]})
+    @settings(max_examples=300)
+    def test_integer_area_is_the_piecewise_area(self, states):
+        report = _report(states)
+        curve = report.curve_points
+        line = [report.line_slope * x for x, _ in curve]
+        assert report.gini_area == area_between_piecewise(line, [Fraction(y) for _, y in curve])
+
     def test_dialogue_area_is_exactly_one(self, dialogue_matrix):
         assert gini_unnormalized(dialogue_matrix, query({"a", "b", "c"}, 0.2)) == 1
 

@@ -37,7 +37,7 @@ from qbag import (
     sweep_chain,
 )
 
-from qbag import serialize
+from qbag import export, serialize
 from qbag.serialize import _CHAIN_CLOSE, _STEP_BOUNDARY, _canonical_steps, _parse_steps
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
@@ -52,6 +52,7 @@ from .strategies import (
     json_values,
     mutated_documents,
     near_documents,
+    retuned_expansion_chains,
     rewired_chains,
     shared_chains,
     shared_step,
@@ -605,6 +606,132 @@ class TestChainTextWork:
         assert len(strings) == len(last.args) + 2 * (len(last.att) + len(last.supp))
 
 
+def _decoded_per_read(text):
+    """parse_chain of text, and the entries decoded through _decode in each block read."""
+    counts = []
+    read, decode = serialize._Blocks.read, serialize._decode
+
+    def counting_read(self, *args):
+        counts.append(0)
+        return read(self, *args)
+
+    def counting_decode(s, idx=0):
+        value, end = decode(s, idx)
+        counts[-1] += len(value)
+        return value, end
+
+    with mock.patch.object(serialize._Blocks, "read", counting_read), \
+            mock.patch.object(serialize, "_decode", counting_decode):
+        return parse_chain(text), counts
+
+
+def _expected_decodes(c):
+    """The entries each block read of c's document decodes, by the rule above _Blocks.
+
+    A block that repeats the last one decodes nothing, and an empty block
+    no entry.  Another block is walked when it keeps the last block's first
+    entry, or keeps its last entry after a block that kept its own
+    predecessor's; a walk decodes the entries the block inserts or changes,
+    or every entry when the last block was decoded whole, as a block that
+    is not walked is.  c's blocks must keep to edits that the walk's
+    look-ahead tells apart, and to its budget.
+    """
+    counts = []
+    state = [None] * 3  # per key: the last block's entries, walked, kept its last entry
+    for g in c.steps:
+        blocks = [[(x, repr(g.tau[x])) for x in sorted(g.args)], sorted(g.att), sorted(g.supp)]
+        for key, new in enumerate(blocks):
+            old, walked, kept_tail = state[key] or ([], False, True)
+            if state[key] is not None and new == old:
+                counts.append(0)
+                continue
+            head = not old or bool(new) and new[0] == old[0]
+            tail = not old or bool(new) and new[-1] == old[-1]
+            walk = bool(new) and (head or kept_tail and tail)
+            counts.append(len(set(new) - set(old)) if walk and walked else len(new))
+            state[key] = new, walk, tail or not new
+    return counts
+
+
+def _steps(*specs):
+    """A chain document of edgeless steps, each given as (id, strength) pairs."""
+    return serialize_chain(build_chain([build_qbag(spec) for spec in specs]))
+
+
+LONG = "x" * 150  # ids longer than any first probe of the walk's search
+WALK_DOCUMENTS = {
+    # (text, the entries each step after the first decodes in its arguments block)
+    "edit-first-then-last": (_steps([(x, 0.5) for x in "abcdef"],
+                                    [(x, 0.1 if x == "a" else 0.5) for x in "abcdef"],
+                                    [(x, 0.1 if x in "af" else 0.5) for x in "abcdef"]), [1, 1]),
+    "old-text-is-a-prefix": (_steps([("a", 0.5), ("b", 0.5), ("c", 0.5)],
+                                    [("a", 0.5), ("b", 0.55), ("c", 0.5)],
+                                    [("a", 0.5), ("b", 0.5), ("c", 0.5)]), [1, 1]),
+    "delete-next-to-insert": (_steps([(x, 0.5) for x in "abcdef"],
+                                     [(x, 0.5) for x in ["a", "c", "c1", "d", "e", "f"]],
+                                     [(x, 0.5) for x in ["a", "b", "c", "d", "e", "f"]]), [1, 1]),
+    "insert-at-both-ends-of-a-run": (_steps([(x, 0.5) for x in "bcd"],
+                                            [(x, 0.5) for x in ["b", "b1", "b2", "c", "c1", "d"]]), [3]),
+    "long-pieces": (_steps(*[[(LONG + x, 0.25 if x == y else 0.5) for x in "abcd"] for y in "-bc"]),
+                    [1, 2]),
+}
+
+
+class TestWalk:
+    """A walked block decodes the entries it inserts or changes, and keeps the rest."""
+
+    @given(evolving_chains())
+    @settings(max_examples=300)
+    def test_every_edit_kind(self, c):
+        # sweep, retune, grow anywhere, link, unlink, drop and rewire
+        _assert_parse_parity(serialize_chain(c))
+
+    @given(st.one_of(weak_expansion_chains(), retuned_expansion_chains()))
+    @settings(max_examples=200)
+    def test_extensions_and_retunes_skip_json_loads(self, c):
+        _assert_decoded_block_by_block(serialize_chain(c))
+
+    @given(st.one_of(weak_expansion_chains(), retuned_expansion_chains()))
+    @settings(max_examples=200)
+    def test_parse_decodes_what_each_step_adds_or_changes(self, c):
+        # a walk that loses its place decodes the rest of a block: right, but slow
+        parsed, counts = _decoded_per_read(serialize_chain(c))
+        assert parsed == c
+        assert counts == _expected_decodes(c)
+
+    @pytest.mark.parametrize(("text", "arguments"), WALK_DOCUMENTS.values(), ids=WALK_DOCUMENTS.keys())
+    def test_targeted_edits(self, text, arguments):
+        _assert_decoded_block_by_block(text)
+        parsed, counts = _decoded_per_read(text)
+        assert counts[3::3] == arguments
+        assert counts == _expected_decodes(parsed)
+
+    def test_a_block_past_the_edit_budget_is_decoded_whole(self):
+        # the second step retunes every argument but the first and the last,
+        # one edit each; the third retunes one more argument
+        ids = [f"a{i:02d}" for i in range(serialize._EDIT_BUDGET + 3)]
+        first = [(x, 0.5) for x in ids]
+        second = [(x, 0.5 if x in (ids[0], ids[-1]) else 0.25) for x in ids]
+        third = [(x, 0.75 if x == ids[1] else v) for x, v in second]
+        text = _steps(first, second, third)
+        _assert_decoded_block_by_block(text)
+        expected = parse_chain_oracle(text)
+        decode = serialize._decode
+        whole = []
+
+        def recording(s, idx=0):
+            whole.append(idx > 0)  # a block decoded in place, not pieces joined anew
+            return decode(s, idx)
+
+        with mock.patch.object(serialize, "_decode", recording), \
+                mock.patch.object(json, "loads", side_effect=_GeneralPath):
+            assert parse_chain(text) == expected
+        # arguments walked, empty attacks and supports; arguments past the budget;
+        # arguments walked against no pieces
+        assert whole == [False, True, True, True, False]
+        assert _decoded_per_read(text)[1][3::3] == [len(ids), len(ids)]
+
+
 class TestSplice:
     """serialize_chain re-renders a step's changed strengths only, and still
     writes exactly what json.dumps(doc, indent=2) would."""
@@ -909,13 +1036,13 @@ class TestStrengthRows:
         # c reaches a and b only: the other strengths stay the same objects
         m = evaluate_chain(sweep_chain(sweep_base(), "c", [i / 99 for i in range(100)]))
         calls = []
-        original = serialize._dec12
+        original = export._dec12
 
         def counting(value):
             calls.append(value)
             return original(value)
 
-        monkeypatch.setattr(serialize, "_dec12", counting)
+        monkeypatch.setattr(export, "_dec12", counting)
         assert export_strengths_csv(m) == _strengths_csv_oracle(m)
         pairs = zip(m.rows[1:], m.rows)
         changed = [v is not u for a, b in pairs for v, u in zip(a.values.values(), b.values.values())]
