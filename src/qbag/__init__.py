@@ -5,145 +5,104 @@ supports; evaluate them under the DF-QuAD gradual semantics; and analyze
 sequences of graphs (dialogue chains) for safety, liveness, and fairness
 of a set of topic arguments against a justification threshold, including
 Gini-based and Shannon-based gradual fairness scores.
-"""
 
-from .analysis import (
-    FairnessLine,
-    FairnessReport,
-    SLFQuery,
-    area_between_piecewise,
-    exceed_count,
-    exceed_distribution,
-    fairness_line,
-    fairness_report,
-    fluctuation_count,
-    gini_fairness,
-    gini_unnormalized,
-    is_cautiously_fair,
-    is_ideally_fair,
-    is_live,
-    is_lively_fair,
-    is_strongly_safe,
-    is_weakly_safe,
-    safety_curve,
-    shannon_base,
-    shannon_fairness,
-)
-from .chain import (
-    Chain,
-    StrengthMatrix,
-    build_chain,
-    common_arguments,
-    evaluate_chain,
-    is_expansion_chain,
-    is_normal_expansion_chain,
-    is_weak_expansion_chain,
-    sweep_chain,
-)
-from .errors import (
-    CyclicGraph,
-    DanglingEndpoint,
-    DocumentError,
-    DuplicateArgument,
-    EmptyChain,
-    EmptyTopicSet,
-    InvalidArgumentId,
-    QbagError,
-    RelationOverlap,
-    StrengthOutOfRange,
-    TopicNotInChain,
-    UnknownArgument,
-    UnknownSemantics,
-)
-from .export import export_curve_csv, export_strengths_csv, report_to_dict
-from .graph import (
-    QBAG,
-    attackers,
-    build_qbag,
-    is_acyclic,
-    is_sub_qbag,
-    reaches,
-    restrict,
-    supporters,
-    topological_order,
-)
-from .semantics import (
-    DFQUAD,
-    SemanticsDescriptor,
-    StrengthAssignment,
-    dfquad_aggregation,
-    dfquad_influence,
-    evaluate,
-    semantics_by_name,
-)
-from .serialize import parse_chain, parse_qbag, serialize_chain, serialize_qbag
+Importing the package loads none of its modules: each public name, and
+each module below, is imported on first use (PEP 562), so a program
+compiles only the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QBAG",
-    "build_qbag",
-    "attackers",
-    "supporters",
-    "reaches",
-    "is_acyclic",
-    "restrict",
-    "is_sub_qbag",
-    "topological_order",
-    "SemanticsDescriptor",
-    "StrengthAssignment",
-    "DFQUAD",
-    "dfquad_aggregation",
-    "dfquad_influence",
-    "evaluate",
-    "semantics_by_name",
-    "Chain",
-    "StrengthMatrix",
-    "build_chain",
-    "common_arguments",
-    "evaluate_chain",
-    "is_expansion_chain",
-    "is_normal_expansion_chain",
-    "is_weak_expansion_chain",
-    "sweep_chain",
-    "SLFQuery",
-    "FairnessLine",
-    "FairnessReport",
-    "is_strongly_safe",
-    "is_weakly_safe",
-    "fluctuation_count",
-    "is_live",
-    "is_ideally_fair",
-    "is_lively_fair",
-    "is_cautiously_fair",
-    "exceed_count",
-    "safety_curve",
-    "fairness_line",
-    "gini_unnormalized",
-    "gini_fairness",
-    "exceed_distribution",
-    "shannon_base",
-    "shannon_fairness",
-    "fairness_report",
-    "area_between_piecewise",
-    "parse_qbag",
-    "serialize_qbag",
-    "parse_chain",
-    "serialize_chain",
-    "export_strengths_csv",
-    "export_curve_csv",
-    "report_to_dict",
-    "QbagError",
-    "InvalidArgumentId",
-    "DuplicateArgument",
-    "DanglingEndpoint",
-    "RelationOverlap",
-    "StrengthOutOfRange",
-    "UnknownArgument",
-    "CyclicGraph",
-    "UnknownSemantics",
-    "EmptyChain",
-    "EmptyTopicSet",
-    "TopicNotInChain",
-    "DocumentError",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "graph": (
+        "QBAG",
+        "build_qbag",
+        "attackers",
+        "supporters",
+        "reaches",
+        "is_acyclic",
+        "restrict",
+        "is_sub_qbag",
+        "topological_order",
+    ),
+    "semantics": (
+        "SemanticsDescriptor",
+        "StrengthAssignment",
+        "DFQUAD",
+        "dfquad_aggregation",
+        "dfquad_influence",
+        "evaluate",
+        "semantics_by_name",
+    ),
+    "chain": (
+        "Chain",
+        "StrengthMatrix",
+        "build_chain",
+        "common_arguments",
+        "evaluate_chain",
+        "is_expansion_chain",
+        "is_normal_expansion_chain",
+        "is_weak_expansion_chain",
+        "sweep_chain",
+    ),
+    "analysis": (
+        "SLFQuery",
+        "FairnessLine",
+        "FairnessReport",
+        "is_strongly_safe",
+        "is_weakly_safe",
+        "fluctuation_count",
+        "is_live",
+        "is_ideally_fair",
+        "is_lively_fair",
+        "is_cautiously_fair",
+        "exceed_count",
+        "safety_curve",
+        "fairness_line",
+        "gini_unnormalized",
+        "gini_fairness",
+        "exceed_distribution",
+        "shannon_base",
+        "shannon_fairness",
+        "fairness_report",
+        "area_between_piecewise",
+    ),
+    "serialize": ("parse_qbag", "serialize_qbag", "parse_chain", "serialize_chain"),
+    "export": ("export_strengths_csv", "export_curve_csv", "report_to_dict"),
+    "errors": (
+        "QbagError",
+        "InvalidArgumentId",
+        "DuplicateArgument",
+        "DanglingEndpoint",
+        "RelationOverlap",
+        "StrengthOutOfRange",
+        "UnknownArgument",
+        "CyclicGraph",
+        "UnknownSemantics",
+        "EmptyChain",
+        "EmptyTopicSet",
+        "TopicNotInChain",
+        "DocumentError",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    """A public name or a module of the package, imported on first use."""
+    from importlib import import_module
+
+    if name in _EXPORTS:  # importing a module binds it here
+        return import_module(f"{__name__}.{name}")
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -12,6 +12,13 @@ it is, or the text after ``=`` in ``--name=value``; a repeated option
 keeps its last value; ``--`` ends the options; ``-h`` or ``--help`` prints
 help to standard output.  Argument ids may begin with ``-``, so
 ``--topics -a`` names the topic ``-a``.
+
+A subcommand imports the modules it runs at its top, before it reads
+its input, so a call compiles only those: ``eval`` never loads the chain
+or analysis modules.  It takes the library's functions from their
+modules when it runs, so a wrapper set on a module's name, as
+``bench/spans.py`` sets one, is the function it calls; the CSV and report
+renderers are taken from ``qbag.serialize``, where the spans wrap them.
 """
 
 from __future__ import annotations
@@ -20,31 +27,13 @@ import codecs
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .analysis import SLFQuery, _report, _states, _verdicts, fairness_report
-from .chain import (
-    Chain,
-    _acyclic_steps,
-    evaluate_chain,
-    is_expansion_chain,
-    is_normal_expansion_chain,
-    is_weak_expansion_chain,
-    sweep_chain,
-)
 from .errors import QbagError
-from .export import _SCORE_PLACES, _strength_rows, export_curve_csv, report_to_dict
-from .semantics import evaluate, semantics_by_name
-from .serialize import (
-    _canonical_steps,
-    _chain_parts,
-    _document_steps,
-    _parse_steps,
-    parse_chain,
-    parse_qbag,
-)
+
+if TYPE_CHECKING:
+    from .chain import Chain
 
 # caps the grid, not memory: a sweep chain is built whole, at about 23 bytes
 # per argument per step (45 with --csv, which also holds the strengths)
@@ -100,6 +89,9 @@ def _read_chain(path: str) -> Chain:
     At any doubt the whole file is read again for the general path, which
     gives every error; a pipe, which cannot be read twice, goes to parse_chain.
     """
+    from ._chain_reader import _canonical_steps
+    from .serialize import _document_steps, _parse_steps, parse_chain
+
     if not os.path.isfile(path):
         return parse_chain(_read_text(path))
     try:
@@ -112,6 +104,10 @@ def _read_chain(path: str) -> Chain:
 
 def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
     """The strength matrix of the chain document and the query the options give."""
+    from .analysis import SLFQuery
+    from .chain import evaluate_chain
+    from .semantics import semantics_by_name
+
     chain = _read_chain(chain_path)
     matrix = evaluate_chain(chain, semantics_by_name(semantics_name))
     ids = [t for t in topics.split(",") if t]
@@ -123,13 +119,16 @@ def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
 def _grid(start: float, stop: float, steps: int) -> list[float]:
     """Evenly spaced values from start to stop, both ends exact.
 
-    Each point is computed in exact rationals from the float endpoints
-    and rounded once, so no point drifts by accumulated rounding.
+    Point i is start + i * (stop - start) / (steps - 1) in exact rationals
+    from the float endpoints, rounded once, so no point drifts by
+    accumulated rounding.  With start = a/b and stop = c/d that is one
+    correctly rounded int division, as float() of the Fraction would do.
     """
     if steps == 1:
         return [start]
-    lo, hi = Fraction(start), Fraction(stop)
-    return [float(lo + i * (hi - lo) / (steps - 1)) for i in range(steps)]
+    (a, b), (c, d), n = start.as_integer_ratio(), stop.as_integer_ratio(), steps - 1
+    base, step, scale = a * d * n, c * b - a * d, b * d * n
+    return [(base + i * step) / scale for i in range(steps)]
 
 
 def _yesno(flag: bool) -> str:
@@ -138,6 +137,13 @@ def _yesno(flag: bool) -> str:
 
 def validate(chain_path: str) -> None:
     """Check a chain document and classify the chain."""
+    from .chain import (
+        _acyclic_steps,
+        is_expansion_chain,
+        is_normal_expansion_chain,
+        is_weak_expansion_chain,
+    )
+
     chain = _read_chain(chain_path)
     verdicts = _acyclic_steps(chain)
     for i, acyclic in enumerate(verdicts, start=1):
@@ -151,6 +157,9 @@ def validate(chain_path: str) -> None:
 
 def eval_cmd(qbag_path: str, semantics_name: str) -> None:
     """Print final strengths of a single graph."""
+    from .semantics import evaluate, semantics_by_name
+    from .serialize import parse_qbag
+
     g = parse_qbag(_read_text(qbag_path))
     sem = semantics_by_name(semantics_name)
     assignment = evaluate(g, sem)
@@ -166,6 +175,10 @@ def analyze(
     fmt: str,
 ) -> None:
     """Run safety, liveness, and fairness checks on a chain."""
+    from .analysis import _report, _states, _verdicts
+    from .export import _SCORE_PLACES
+    from .serialize import report_to_dict
+
     states = _states(*_query(chain_path, topics, threshold, semantics_name))
     result: dict[str, object] = {}
     for group, verdicts in _verdicts(states).items():
@@ -207,6 +220,14 @@ def sweep(
     semantics_name: str,
 ) -> None:
     """Generate (and optionally evaluate) an initial-strength sweep chain."""
+    from .chain import evaluate_chain, sweep_chain
+    from .semantics import semantics_by_name
+    from .serialize import parse_qbag
+
+    if as_csv:
+        from .export import _strength_rows
+    else:
+        from ._chain_writer import _chain_parts
     g = parse_qbag(_read_text(qbag_path))
     sem = semantics_by_name(semantics_name)
     if steps < 1:
@@ -234,6 +255,9 @@ def sweep(
 
 def curve(chain_path: str, topics: str, threshold: float, semantics_name: str) -> None:
     """Print the safety-curve / fairness-line breakpoints as CSV."""
+    from .analysis import fairness_report
+    from .serialize import export_curve_csv
+
     matrix, query = _query(chain_path, topics, threshold, semantics_name)
     _emit((export_curve_csv(fairness_report(matrix, query)),))
 

@@ -9,13 +9,15 @@ functions are importable from ``qbag.serialize`` as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from operator import is_not
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .analysis import FairnessReport
-from .chain import StrengthMatrix
+if TYPE_CHECKING:  # annotations only: rendering a table loads neither module
+    from fractions import Fraction
+
+    from .analysis import FairnessReport
+    from .chain import StrengthMatrix
 
 # decimal places of the gradual fairness scores in every rendered report
 _SCORE_PLACES = 5
@@ -39,7 +41,7 @@ def export_strengths_csv(m: StrengthMatrix) -> str:
 def _strength_rows(m: StrengthMatrix) -> Iterator[str]:
     """The text of export_strengths_csv: the header, then each step's lines.
 
-    As in ``serialize._chain_parts``, a strength that is the same object as the last
+    As in ``_chain_writer._chain_parts``, a strength that is the same object as the last
     step's keeps its rendered "x,value" line; only the others render.
     """
     yield "step,argument,final_strength\n"

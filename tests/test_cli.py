@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import threading
+import tokenize
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import qbag.analysis
@@ -26,7 +28,7 @@ from qbag import (
     serialize_qbag,
     sweep_chain,
 )
-from qbag import cli, serialize
+from qbag import _chain_reader, cli
 from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
@@ -462,7 +464,7 @@ class TestSweep:
             raise RuntimeError("the sweep was built")
 
         monkeypatch.setattr(cli, "_grid", unreachable)
-        monkeypatch.setattr(cli, "sweep_chain", unreachable)
+        monkeypatch.setattr(qbag.chain, "sweep_chain", unreachable)
         result = runner.invoke(
             main,
             ["sweep", sweep_path, "--argument", "f", "--from", "0", "--to", "1", "--steps", str(steps)],
@@ -477,6 +479,47 @@ class TestSweep:
         )
         assert result.exit_code == 2
         assert "UnknownArgument" in result.stderr
+
+
+def _fraction_grid(start, stop, steps):
+    """The grid in exact rationals, each point rounded once by float()."""
+    if steps == 1:
+        return [start]
+    lo, hi = Fraction(start), Fraction(stop)
+    return [float(lo + i * (hi - lo) / (steps - 1)) for i in range(steps)]
+
+
+def _bits(values):
+    return [value.hex() for value in values]  # tells 0.0 from -0.0
+
+
+_UNIT = st.floats(0.0, 1.0)  # subnormals included
+_SUBNORMAL = 5e-324
+
+
+class TestGrid:
+    """_grid in integers is the rational grid, bit for bit."""
+
+    @given(_UNIT, _UNIT, st.integers(1, 300))
+    @example(0.3, 1.0, 1)
+    @example(0.3, 1.0, 2)
+    @example(0.0, 1.0, 200)
+    @example(1.0, 0.0, 7)  # --from greater than --to
+    @example(0.7, 0.1, 11)
+    @example(_SUBNORMAL, 1.0, 9)
+    @example(0.0, 2.2250738585072009e-308, 13)  # the largest subnormal
+    @example(_SUBNORMAL, 3 * _SUBNORMAL, 5)
+    @settings(max_examples=300)
+    def test_matches_the_fraction_formula(self, start, stop, steps):
+        assert _bits(cli._grid(start, stop, steps)) == _bits(_fraction_grid(start, stop, steps))
+
+    def test_largest_grid_ends_on_its_last_point(self):
+        start, stop, n = 0.1, 0.7, MAX_SWEEP_STEPS - 1
+        grid = cli._grid(start, stop, MAX_SWEEP_STEPS)
+        lo, hi = Fraction(start), Fraction(stop)
+        for i in (0, 1, n // 3, n - 1, n):
+            assert grid[i].hex() == float(lo + i * (hi - lo) / n).hex()
+        assert (len(grid), grid[-1]) == (MAX_SWEEP_STEPS, stop)
 
 
 def _chain_file(tmp_path, content):
@@ -555,14 +598,14 @@ class TestChainReader:
             text = LONG_SWEEP.replace('"id": "f"', '"id": "c"', 1)
             expected = (2, "", _whole_path_error(text))
         calls = []
-        original = serialize._canonical_steps
+        original = _chain_reader._canonical_steps
 
         def counting(chunks):
             calls.append(chunks)
             return original(chunks)
 
-        monkeypatch.setattr(serialize, "_canonical_steps", counting)
-        monkeypatch.setattr(cli, "_canonical_steps", counting)
+        # both readers fetch the decoder from its module when they run
+        monkeypatch.setattr(_chain_reader, "_canonical_steps", counting)
         result = runner.invoke(main, ["validate", str(_chain_file(tmp_path, text))])
         assert (result.exit_code, result.stdout, result.stderr) == expected
         assert len(calls) == 1
@@ -1019,6 +1062,23 @@ class TestCommandLine:
         assert result.stdout == "a\x1b[0m=0.5 b=0.5\n"
 
 
+# qbag.__all__: what ``from qbag import *`` gives
+_PUBLIC_NAMES = """
+    Chain CyclicGraph DFQUAD DanglingEndpoint DocumentError DuplicateArgument EmptyChain
+    EmptyTopicSet FairnessLine FairnessReport InvalidArgumentId QBAG QbagError RelationOverlap
+    SLFQuery SemanticsDescriptor StrengthAssignment StrengthMatrix StrengthOutOfRange
+    TopicNotInChain UnknownArgument UnknownSemantics area_between_piecewise attackers
+    build_chain build_qbag common_arguments dfquad_aggregation dfquad_influence evaluate
+    evaluate_chain exceed_count exceed_distribution export_curve_csv export_strengths_csv
+    fairness_line fairness_report fluctuation_count gini_fairness gini_unnormalized
+    is_acyclic is_cautiously_fair is_expansion_chain is_ideally_fair is_live is_lively_fair
+    is_normal_expansion_chain is_strongly_safe is_sub_qbag is_weak_expansion_chain
+    is_weakly_safe parse_chain parse_qbag reaches report_to_dict restrict safety_curve
+    semantics_by_name serialize_chain serialize_qbag shannon_base shannon_fairness
+    supporters sweep_chain topological_order
+"""
+
+
 def _run_module(code_or_args, env_extra=None):
     """Run python with src on the path: ``-c code`` for a str, ``-m qbag.cli args`` for a list."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -1037,6 +1097,96 @@ class TestStartup:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == b"[]\n"
+
+    @pytest.mark.parametrize(
+        ("argv", "loaded"),
+        [
+            (["eval", "{graph}"], []),
+            (["sweep", "{graph}", *_SWEEP, "--steps", "3", "--out", "{out}"], ["chain", "_chain_writer"]),
+            (["sweep", "{graph}", *_SWEEP, "--steps", "3", "--csv"], ["chain", "export"]),
+            (["validate", "{chain}"], ["chain", "_chain_reader"]),
+            (
+                ["analyze", "{chain}", *_QUERY],
+                ["chain", "_chain_reader", "analysis", "export", "fractions"],
+            ),
+            (["curve", "{chain}", *_QUERY], ["chain", "_chain_reader", "analysis", "export", "fractions"]),
+        ],
+        ids=["eval", "sweep-out", "sweep-csv", "validate", "analyze", "curve"],
+    )
+    def test_a_call_loads_only_what_it_runs(self, tmp_path, sweep_path, chain_path, argv, loaded):
+        # qbag's modules and fractions after a successful call, in a fresh interpreter
+        paths = {"graph": sweep_path, "chain": chain_path, "out": str(tmp_path / "out.json")}
+        argv = [arg.format(**paths) for arg in argv]
+        run = _run_module(
+            "import sys\n"
+            "from qbag.cli import main\n"
+            "try:\n"
+            f"    main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    modules = {m for m in sys.modules if m.startswith('qbag') or m == 'fractions'}\n"
+            "    print(exc.code, sorted(modules), file=sys.stderr)\n"
+        )
+        base = ["qbag", "qbag.cli", "qbag.errors", "qbag.graph", "qbag.semantics", "qbag.serialize"]
+        expected = sorted(base + [m if m == "fractions" else f"qbag.{m}" for m in loaded])
+        assert run.stderr.decode() == f"0 {expected}\n"
+
+    def test_star_import_gives_the_public_names(self):
+        run = _run_module(
+            "import sys\n"
+            "from qbag import *\n"
+            "import qbag\n"
+            "names = sorted(qbag.__all__)\n"
+            "for name in names:\n"
+            "    value = globals()[name]\n"
+            "    assert getattr(sys.modules[value.__module__], name) is value is getattr(qbag, name), name\n"
+            "print(' '.join(names))\n"
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.decode().split() == sorted(_PUBLIC_NAMES.split())
+
+    def test_import_qbag_loads_no_module_until_one_is_used(self):
+        run = _run_module(
+            "import sys\n"
+            "import qbag\n"
+            "before = sorted(m for m in sys.modules if m.startswith('qbag'))\n"
+            "public = [n for n in dir(qbag) if not n.startswith('_')]\n"
+            "print(before, qbag.graph.__name__, 'qbag.chain' in sys.modules, public)\n"
+        )
+        assert run.returncode == 0, run.stderr
+        modules = ["analysis", "chain", "errors", "export", "graph", "semantics", "serialize"]
+        public = sorted(_PUBLIC_NAMES.split() + modules)
+        assert run.stdout.decode() == f"['qbag'] qbag.graph False {public}\n"
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        run = _run_module(
+            "import qbag\n"
+            "try:\n"
+            "    qbag.nosuch\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run.stdout == b"module 'qbag' has no attribute 'nosuch'\n"
+
+    def test_export_loads_neither_analysis_nor_chain(self):
+        # its annotations name the report, the matrix and Fraction, which it never builds
+        run = _run_module(
+            "import sys\n"
+            "import qbag.export\n"
+            "print(sorted({'qbag.analysis', 'qbag.chain', 'fractions'} & set(sys.modules)))\n"
+        )
+        assert run.stdout == b"[]\n", run.stderr
+
+    def test_every_module_stays_below_the_token_step(self):
+        # CPython 3.11's parser grows its token array by doubling: a module
+        # of 4096 tokens or more compiles with a step higher peak
+        counts = {}
+        for path in sorted(Path(qbag.__file__).parent.glob("*.py")):
+            with open(path, encoding="utf-8") as file:
+                tokens = tokenize.generate_tokens(file.readline)
+                skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                counts[path.name] = sum(token.type not in skipped for token in tokens)
+        assert len(counts) >= 9
+        assert {name: n for name, n in counts.items() if n >= 4096} == {}
 
     def test_ascii_streams_still_get_utf8(self, tmp_path):
         path = _qbag_document(tmp_path, ["ä", "b"])

@@ -37,8 +37,9 @@ from qbag import (
     sweep_chain,
 )
 
-from qbag import export, serialize
-from qbag.serialize import _CHAIN_CLOSE, _STEP_BOUNDARY, _canonical_steps, _parse_steps
+from qbag import _chain_reader, _chain_writer, export, serialize
+from qbag._chain_reader import _STEP_BOUNDARY, _canonical_steps
+from qbag.serialize import _CHAIN_CLOSE, _parse_steps
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
 from .oracles import canonical_json, chain_document, parse_chain_oracle, qbag_document
@@ -535,14 +536,14 @@ class TestChainTextWork:
         # a, c and f are the first, a middle and the last argument
         text = _sweep_text(x, [i / 199 for i in range(200)])
         decoded = []
-        original = serialize._decode
+        original = _chain_reader._decode
 
         def counting(s, idx=0):
             value, end = original(s, idx)
             decoded.append((value, end - idx))
             return value, end
 
-        monkeypatch.setattr(serialize, "_decode", counting)
+        monkeypatch.setattr(_chain_reader, "_decode", counting)
         c = parse_chain(text)
         assert [g.tau[x] for g in c] == [i / 199 for i in range(200)]
         # the first step's three blocks, then one entry per later step
@@ -557,13 +558,13 @@ class TestChainTextWork:
     def test_serialize_renders_changed_strengths_only(self, monkeypatch):
         c = sweep_chain(sweep_base(), "f", [i / 199 for i in range(200)])
         calls = []
-        original = serialize._number
+        original = _chain_writer._number
 
         def counting(value):
             calls.append(value)
             return original(value)
 
-        monkeypatch.setattr(serialize, "_number", counting)
+        monkeypatch.setattr(_chain_writer, "_number", counting)
         text = serialize_chain(c)
         assert text == canonical_json(chain_document(c))
         assert len(calls) == len(sweep_base().args) + 199
@@ -580,7 +581,7 @@ class TestChainTextWork:
             steps.append(build_qbag(tau.items(), g.att, g.supp))
         c = build_chain(steps)
         numbers, strings = [], []
-        original_number, original_string = serialize._number, serialize._string
+        original_number, original_string = _chain_writer._number, _chain_writer._string
 
         def count_number(value):
             numbers.append(value)
@@ -590,8 +591,8 @@ class TestChainTextWork:
             strings.append(text)
             return original_string(text)
 
-        with mock.patch.object(serialize, "_number", count_number), \
-                mock.patch.object(serialize, "_string", count_string):
+        with mock.patch.object(_chain_writer, "_number", count_number), \
+                mock.patch.object(_chain_writer, "_string", count_string):
             text = serialize_chain(c)
         assert text == canonical_json(chain_document(c))
         # one per argument's first strength and per strength that is a new object
@@ -609,7 +610,7 @@ class TestChainTextWork:
 def _decoded_per_read(text):
     """parse_chain of text, and the entries decoded through _decode in each block read."""
     counts = []
-    read, decode = serialize._Blocks.read, serialize._decode
+    read, decode = _chain_reader._Blocks.read, _chain_reader._decode
 
     def counting_read(self, *args):
         counts.append(0)
@@ -620,8 +621,8 @@ def _decoded_per_read(text):
         counts[-1] += len(value)
         return value, end
 
-    with mock.patch.object(serialize._Blocks, "read", counting_read), \
-            mock.patch.object(serialize, "_decode", counting_decode):
+    with mock.patch.object(_chain_reader._Blocks, "read", counting_read), \
+            mock.patch.object(_chain_reader, "_decode", counting_decode):
         return parse_chain(text), counts
 
 
@@ -709,21 +710,21 @@ class TestWalk:
     def test_a_block_past_the_edit_budget_is_decoded_whole(self):
         # the second step retunes every argument but the first and the last,
         # one edit each; the third retunes one more argument
-        ids = [f"a{i:02d}" for i in range(serialize._EDIT_BUDGET + 3)]
+        ids = [f"a{i:02d}" for i in range(_chain_reader._EDIT_BUDGET + 3)]
         first = [(x, 0.5) for x in ids]
         second = [(x, 0.5 if x in (ids[0], ids[-1]) else 0.25) for x in ids]
         third = [(x, 0.75 if x == ids[1] else v) for x, v in second]
         text = _steps(first, second, third)
         _assert_decoded_block_by_block(text)
         expected = parse_chain_oracle(text)
-        decode = serialize._decode
+        decode = _chain_reader._decode
         whole = []
 
         def recording(s, idx=0):
             whole.append(idx > 0)  # a block decoded in place, not pieces joined anew
             return decode(s, idx)
 
-        with mock.patch.object(serialize, "_decode", recording), \
+        with mock.patch.object(_chain_reader, "_decode", recording), \
                 mock.patch.object(json, "loads", side_effect=_GeneralPath):
             assert parse_chain(text) == expected
         # arguments walked, empty attacks and supports; arguments past the budget;
