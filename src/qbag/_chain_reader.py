@@ -2,16 +2,16 @@
 
 The envelope and key lines are matched as text, and each block is walked
 against the same block of the previous step, as the comment above
-``_Blocks`` says.  ``qbag.serialize.parse_chain`` and the command line's
-chunked file reader use it; any document it cannot read goes to
-``json.loads`` of the whole text, which decides.  Only the calls that
-read a chain import this module.
+``_Blocks`` says.  ``qbag.serialize.parse_chain`` uses it on a whole
+text, and ``_file_graphs`` on a file read in chunks, for the command
+line; any document it cannot read goes to ``json.loads`` of the whole
+text, which decides.  Only the calls that read a chain import this module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .serialize import (
     _ATTACKS_KEY,
@@ -23,14 +23,24 @@ from .serialize import (
     _STEP_SEPARATOR,
     _SUPPORTS_KEY,
     _arguments,
+    _graphs,
     _parse_edges,
 )
 
+if TYPE_CHECKING:
+    from .graph import QBAG
+
 _decode = json.JSONDecoder().raw_decode
+# characters per read of a chain file, which is decoded a window of whole steps at a time
+_READ_CHUNK = 1 << 16
 
 
 class _OffLayout(Exception):
     """The text leaves the canonical layout of a chain document."""
+
+
+class _Reread(Exception):
+    """The chunked read of a chain file failed: the general path reads it again and decides."""
 
 
 def _skip(text: str, pos: int, literal: str) -> int:
@@ -249,3 +259,18 @@ def _canonical_steps(chunks: Iterable[str]) -> Iterator[tuple[list, list, list]]
             pos = 0
     if _skip(text, pos, _CHAIN_CLOSE) != len(text) or next(windows, None) is not None:
         raise _OffLayout(pos)
+
+
+def _file_graphs(path: str) -> Iterator[QBAG]:
+    """The built steps of the chain file at path, read _READ_CHUNK characters at a time.
+
+    Holds one window of text and one step.  Any failure of the read, the
+    decode or the step builder is raised as _Reread, after the steps
+    before it have been yielded; the general path then gives the values
+    or the error.
+    """
+    try:
+        with open(path, encoding="utf-8") as file:
+            yield from _graphs(_canonical_steps(iter(lambda: file.read(_READ_CHUNK), "")))
+    except Exception:  # off the layout, invalid or unreadable
+        raise _Reread from None

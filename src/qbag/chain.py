@@ -9,6 +9,7 @@ refinements on top.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import pairwise
 from math import copysign
 from typing import Iterable, Iterator, Sequence
@@ -157,7 +158,7 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
     return Chain(steps=tuple(steps))
 
 
-def _plans(c: Chain) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
+def _plans(steps: Iterable[QBAG]) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
     """Each step with the step it extends, its index, and the arguments it changed.
 
     Every step extends a graph it contains.  A step that keeps every
@@ -168,7 +169,7 @@ def _plans(c: Chain) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
     none of a step that shares its predecessor's structure.
     """
     prev = _EMPTY
-    for g in c.steps:
+    for g in steps:
         added = None if prev is _EMPTY else _added(prev, g.args, g.att, g.supp)
         if added is None:
             prev, index, changed = _EMPTY, _index(g), set(g.args)
@@ -178,15 +179,15 @@ def _plans(c: Chain) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
         prev = g
 
 
-def _acyclic_steps(c: Chain) -> list[bool]:
-    """``[is_acyclic(g) for g in c]``, checking each step only where it changed.
+def _acyclic_steps(steps: Iterable[QBAG]) -> list[bool]:
+    """``[is_acyclic(g) for g in steps]``, checking each step only where it changed.
 
     A step can only close a cycle through an argument whose in-edges it
     changed, so only their downstream cone is checked.  The empty graph is
     acyclic, and a step that extends a cyclic one keeps its cycle.
     """
     verdicts: list[bool] = []
-    for _, base, index, changed in _plans(c):
+    for _, base, index, changed in _plans(steps):
         acyclic = base is _EMPTY or verdicts[-1]
         if acyclic and changed:
             try:
@@ -197,24 +198,52 @@ def _acyclic_steps(c: Chain) -> list[bool]:
     return verdicts
 
 
-def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatrix:
-    """Evaluate every step; raises CyclicGraph naming the offending step.
+def _validated(steps: Iterable[QBAG]) -> tuple[list[bool], list[bool]]:
+    """Each step's acyclicity, and whether the chain is an expansion, normal and weak one.
 
-    Each row is == to ``evaluate(step, sem)`` and, like it, keyed by
-    ascending argument id.  Every step extends a step it contains (see
-    :func:`_plans`): the previous step while every argument and edge of
-    it is still there, and the empty graph otherwise.  Only the
-    downstream cone of what changed is ordered and recomputed: new
+    One pass over the steps: each consecutive pair is classified as it
+    arrives, by the public classifiers, and only the last step is held.
+    Each class is decided pair by pair, so the chain is in it exactly
+    when every pair is, and a chain of one step is in every class.  A
+    class a pair is not in is not asked of the pairs after it.
+    """
+    classes = [is_expansion_chain, is_normal_expansion_chain, is_weak_expansion_chain]
+    kinds = [True] * len(classes)
+
+    def classified() -> Iterator[QBAG]:
+        prev = None
+        for g in steps:
+            if prev is not None:
+                pair = Chain(steps=(prev, g))
+                kinds[:] = [kind and is_kind(pair) for kind, is_kind in zip(kinds, classes)]
+            yield g
+            prev = g
+
+    return _acyclic_steps(classified()), kinds
+
+
+def evaluate_chain(steps: Iterable[QBAG], sem: SemanticsDescriptor = DFQUAD) -> StrengthMatrix:
+    """Evaluate every step of a chain, or of any iterable of graphs.
+
+    Raises EmptyChain when there is no step, and CyclicGraph naming the
+    offending step.  Each row is == to ``evaluate(step, sem)`` and, like
+    it, keyed by ascending argument id.  Every step extends a step it
+    contains (see :func:`_plans`): the previous step while every argument
+    and edge of it is still there, and the empty graph otherwise.  Only
+    the downstream cone of what changed is ordered and recomputed: new
     arguments, arguments whose initial strength changed (0.0 and -0.0
     count as different), and targets of new edges.  DF-QuAD is modular,
     so every other argument keeps its previous strength exactly.  A
     rebuilt step changes all of its arguments and is evaluated in full.
     CyclicGraph and StrengthOutOfRange are worded as ``evaluate`` words
-    them for the first step that fails.
+    them for the first step that fails, and raised only after the rest
+    of the input is consumed, so an error that reading a later step
+    raises comes first.  Only the last step is held, besides the rows.
     """
+    steps = iter(steps)
     rows: list[StrengthAssignment] = []
     sigma: dict[str, float] = {}
-    for i, (g, base, index, changed) in enumerate(_plans(c), start=1):
+    for i, (g, base, index, changed) in enumerate(_plans(steps), start=1):
         cone = _downstream(index.successors, changed | _retuned(base, g))
         # each row holds a copy, so sigma is carried from step to step;
         # new arguments need a merge that keeps the ascending key order
@@ -224,15 +253,27 @@ def evaluate_chain(c: Chain, sem: SemanticsDescriptor = DFQUAD) -> StrengthMatri
             sigma = dict.fromkeys(sorted(g.args)) | sigma
         try:
             _propagate(g, sem, index, _ordered(cone, index.successors), sigma)
-        except (CyclicGraph, StrengthOutOfRange):
-            # the cone's order is not a slice of the step's: word the error as evaluate does
-            try:
-                evaluate(g, sem)
-            except CyclicGraph as exc:
-                raise CyclicGraph(f"step {i}: {exc}") from None
-            raise
+        except (CyclicGraph, StrengthOutOfRange) as exc:
+            error = _worded(exc, g, sem, i)
+            break
         rows.append(StrengthAssignment(values=sigma))
-    return StrengthMatrix(rows=tuple(rows))
+    else:
+        if not rows:
+            raise EmptyChain("a chain needs at least one graph")
+        return StrengthMatrix(rows=tuple(rows))
+    deque(steps, maxlen=0)  # read the rest: its errors come first
+    raise error
+
+
+def _worded(exc: Exception, g: QBAG, sem: SemanticsDescriptor, i: int) -> Exception:
+    """The error of step i as evaluate words it; the cone's order is not a slice of the step's."""
+    try:
+        evaluate(g, sem)
+    except CyclicGraph as cycle:
+        return CyclicGraph(f"step {i}: {cycle}")
+    except StrengthOutOfRange as out:
+        return out
+    return exc
 
 
 def _retuned(prev: QBAG, g: QBAG) -> set[str]:

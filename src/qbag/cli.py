@@ -28,18 +28,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import QbagError
-
-if TYPE_CHECKING:
-    from .chain import Chain
 
 # caps the grid, not memory: a sweep chain is built whole, at about 23 bytes
 # per argument per step (45 with --csv, which also holds the strengths)
 MAX_SWEEP_STEPS = 1_000_000
-# characters per read of a chain file, which is decoded a window of whole steps at a time
-_READ_CHUNK = 1 << 16
 
 
 def _emit(texts: Iterable[str], err: bool = False) -> None:
@@ -83,33 +78,38 @@ def _read_text(path: str) -> str:
         _fail(f"cannot read {_shown(path)}: {exc}")
 
 
-def _read_chain(path: str) -> Chain:
-    """The chain document at path, read in chunks and decoded a step at a time.
+def _fold(chain_path: str, fold: Callable):
+    """fold of the chain document's built steps, which it consumes one at a time.
 
-    At any doubt the whole file is read again for the general path, which
-    gives every error; a pipe, which cannot be read twice, goes to parse_chain.
+    The file is read in chunks and decoded a step at a time.  At any
+    doubt the whole fold runs again over the general path, which gives
+    every error; a pipe, which cannot be read twice, goes to it at once.
     """
-    from ._chain_reader import _canonical_steps
-    from .serialize import _document_steps, _parse_steps, parse_chain
+    from ._chain_reader import _file_graphs, _Reread
+    from .serialize import _document_steps, _graphs
 
-    if not os.path.isfile(path):
-        return parse_chain(_read_text(path))
-    try:
-        with open(path, encoding="utf-8") as file:
-            return _parse_steps(_canonical_steps(iter(lambda: file.read(_READ_CHUNK), "")))
-    except Exception:  # off the layout, invalid or unreadable: the general path decides
-        pass
-    return _parse_steps(_document_steps(_read_text(path)))
+    if os.path.isfile(chain_path):
+        try:
+            return fold(_file_graphs(chain_path))
+        except _Reread:
+            pass
+    return fold(_graphs(_document_steps(_read_text(chain_path))))
 
 
 def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
     """The strength matrix of the chain document and the query the options give."""
+    from collections import deque
+
     from .analysis import SLFQuery
     from .chain import evaluate_chain
     from .semantics import semantics_by_name
 
-    chain = _read_chain(chain_path)
-    matrix = evaluate_chain(chain, semantics_by_name(semantics_name))
+    try:
+        sem = semantics_by_name(semantics_name)
+    except QbagError:
+        _fold(chain_path, deque(maxlen=0).extend)  # an error in the document comes first
+        raise
+    matrix = _fold(chain_path, lambda steps: evaluate_chain(steps, sem))
     ids = [t for t in topics.split(",") if t]
     if not ids:
         _fail("no topics given")
@@ -137,22 +137,15 @@ def _yesno(flag: bool) -> str:
 
 def validate(chain_path: str) -> None:
     """Check a chain document and classify the chain."""
-    from .chain import (
-        _acyclic_steps,
-        is_expansion_chain,
-        is_normal_expansion_chain,
-        is_weak_expansion_chain,
-    )
+    from .chain import _validated
 
-    chain = _read_chain(chain_path)
-    verdicts = _acyclic_steps(chain)
+    verdicts, kinds = _fold(chain_path, _validated)
     for i, acyclic in enumerate(verdicts, start=1):
         _echo(f"step {i}: {'acyclic' if acyclic else 'cyclic'}")
     if not all(verdicts):
         _fail(f"CyclicGraph at step {verdicts.index(False) + 1}")
-    _echo(f"expansion: {_yesno(is_expansion_chain(chain))}")
-    _echo(f"normal: {_yesno(is_normal_expansion_chain(chain))}")
-    _echo(f"weak: {_yesno(is_weak_expansion_chain(chain))}")
+    for name, kind in zip(("expansion", "normal", "weak"), kinds):
+        _echo(f"{name}: {_yesno(kind)}")
 
 
 def eval_cmd(qbag_path: str, semantics_name: str) -> None:

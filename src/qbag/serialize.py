@@ -184,16 +184,22 @@ def _step(previous, path, entries, attacks, supports) -> _Step:
     return _Step(ids, attacks, supports, g)
 
 
-def _parse_steps(steps: Iterable[tuple[list, list[Edge], list[Edge]]]) -> Chain:
-    """The chain of each step's checked parts, from either reader of chain documents."""
-    from .chain import build_chain
+def _graphs(steps: Iterable[tuple[list, list[Edge], list[Edge]]]) -> Iterator[QBAG]:
+    """The built graph of each step's checked parts, from either reader of chain documents.
 
-    qbags = []
+    Only the last step is held, so a fold over the graphs holds one step.
+    """
     step = None
     for i, parts in enumerate(steps):
         step = _step(step, f"steps[{i}].", *parts)
-        qbags.append(step.graph)
-    return build_chain(qbags)
+        yield step.graph
+
+
+def _parse_steps(steps: Iterable[tuple[list, list[Edge], list[Edge]]]) -> Chain:
+    """The chain of each step's checked parts."""
+    from .chain import build_chain
+
+    return build_chain(list(_graphs(steps)))
 
 
 def parse_qbag(text: str) -> QBAG:

@@ -1,5 +1,6 @@
 """Chain construction, classification, and evaluation."""
 
+from itertools import chain as joined, pairwise
 from math import copysign
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qbag import (
     DFQUAD,
     CyclicGraph,
+    DocumentError,
     EmptyChain,
     SemanticsDescriptor,
     StrengthOutOfRange,
@@ -30,7 +32,7 @@ from qbag import (
     serialize_chain,
     sweep_chain,
 )
-from qbag.chain import _acyclic_steps, _plans
+from qbag.chain import _acyclic_steps, _plans, _validated
 from qbag.graph import _index, _ordered
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
@@ -46,6 +48,7 @@ from .strategies import (
     chains,
     closing_chains,
     evolving_chains,
+    rewired_chains,
     shared_chains,
     signed_strengths,
     weak_expansion_chains,
@@ -500,3 +503,61 @@ class TestContainment:
                 and all(g.tau[x] == h.tau[x] for x in g.args)
             )
             assert is_sub_qbag(g, h) == literal
+
+
+def _outcome(run):
+    """Every row's exact strengths, or the error's type and message."""
+    try:
+        return [_exact(row.values) for row in run().rows]
+    except (CyclicGraph, StrengthOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamedSteps:
+    """evaluate_chain and _validated take any iterable of steps, one step at a time."""
+
+    @pytest.mark.parametrize("strategy", [evolving_chains(), rewired_chains()], ids=["evolving", "rewired"])
+    @pytest.mark.parametrize("sem", [DFQUAD, SIGNED, UNBOUNDED], ids=["dfquad", "signed", "unbounded"])
+    @given(data=st.data())
+    def test_an_iterator_evaluates_as_its_chain(self, strategy, sem, data):
+        steps = data.draw(strategy).steps
+        assert _outcome(lambda: evaluate_chain(iter(steps), sem)) == _outcome(
+            lambda: evaluate_chain(build_chain(steps), sem)
+        )
+
+    def test_an_empty_iterable_is_an_empty_chain(self):
+        with pytest.raises(EmptyChain):
+            evaluate_chain(iter(()))
+
+    def test_the_input_is_read_to_its_end_before_an_evaluation_error(self):
+        cyclic = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "b")], supports=[("b", "a")])
+        rest = iter([dialogue_step1()] * 3)
+        with pytest.raises(CyclicGraph, match=r"^step 1: "):
+            evaluate_chain(joined([cyclic], rest))
+        assert next(rest, None) is None
+
+    def test_an_error_reading_a_later_step_comes_first(self):
+        cyclic = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "b")], supports=[("b", "a")])
+
+        def steps():
+            yield dialogue_step1()
+            yield cyclic
+            yield dialogue_step1()
+            raise DocumentError("steps[3]: unreadable")
+
+        with pytest.raises(DocumentError, match=r"^steps\[3\]: unreadable$"):
+            evaluate_chain(steps())
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [chains(), evolving_chains(), weak_expansion_chains(), closing_chains()],
+        ids=["chains", "evolving", "weak", "closing"],
+    )
+    @given(data=st.data())
+    def test_pairs_classify_the_chain(self, strategy, data):
+        # each class is a property of every consecutive pair
+        chain = data.draw(strategy)
+        classes = (is_expansion_chain, is_normal_expansion_chain, is_weak_expansion_chain)
+        kinds = [is_kind(chain) for is_kind in classes]
+        assert kinds == [all(is_kind(build_chain(pair)) for pair in pairwise(chain)) for is_kind in classes]
+        assert _validated(iter(chain.steps)) == (_acyclic_steps(chain), kinds)

@@ -9,6 +9,7 @@ import threading
 import tokenize
 import tracemalloc
 from fractions import Fraction
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,11 @@ def _load_reference():
 
 
 REFERENCE = _load_reference()
+CHAIN_ERRORS = [
+    case
+    for case in json.loads((Path(__file__).parent / "error_corpus.json").read_text(encoding="utf-8"))
+    if case["parse"] == "chain"
+]
 
 # Exact stdout of analyze (every --checks x --format at thresholds 0, 0.2
 # and 1) and curve on the dialogue chain with topics a,b,c, recorded
@@ -545,14 +551,14 @@ LONG_SWEEP = serialize_chain(sweep_chain(sweep_base(), "c", [i / 299 for i in ra
 class TestChainReader:
     """validate, analyze and curve read a chain file a chunk at a time."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096, cli._READ_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, _chain_reader._READ_CHUNK])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_canonical_file_is_streamed(self, runner, tmp_path, monkeypatch, chunk, newline):
         # a CRLF file reads as LF, as a whole-file read in text mode does
         path = _chain_file(tmp_path, LONG_SWEEP.replace("\n", newline))
         expected = runner.invoke(main, ["validate", str(path)])
         assert expected.exit_code == 0
-        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(_chain_reader, "_READ_CHUNK", chunk)
 
         def whole(path):
             raise AssertionError("read whole")
@@ -560,14 +566,14 @@ class TestChainReader:
         monkeypatch.setattr(cli, "_read_text", whole)
         result = runner.invoke(main, ["validate", str(path)])
         assert (result.exit_code, result.stdout_bytes) == (0, expected.stdout_bytes)
-        assert cli._read_chain(str(path)) == parse_chain(LONG_SWEEP)
+        assert list(_chain_reader._file_graphs(str(path))) == list(parse_chain(LONG_SWEEP))
 
     def test_invalid_utf8_after_a_document_error_cannot_be_read(self, runner, tmp_path):
         # steps[1] has a dangling pair; the bad byte lies in the last 64 KiB read
         data = json.loads(LONG_SWEEP)
         data["steps"][1]["supports"].append(["c", "z"])
         text = canonical_json(data)
-        assert len(text) > 2 * cli._READ_CHUNK
+        assert len(text) > 2 * _chain_reader._READ_CHUNK
         path = _chain_file(tmp_path, text.encode("utf-8")[:-10] + b"\xff" + text.encode("utf-8")[-9:])
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
@@ -639,24 +645,191 @@ class TestChainReader:
         writer.join(timeout=10)
         assert (result.exit_code, result.stdout_bytes) == (0, expected.stdout_bytes)
 
-    def test_reading_holds_less_than_the_file(self, tmp_path):
-        ids = [f"a{i:03d}" for i in range(300)]
-        g = build_qbag(
-            [(x, 0.5) for x in ids],
-            attacks=list(zip(ids, ids[1:])),
-            supports=list(zip(ids, ids[2:])),
-        )
-        text = serialize_chain(sweep_chain(g, "a150", [i / 39 for i in range(40)]))
-        path = _chain_file(tmp_path, text)
-        assert len(text) >= 2_000_000
+
+def _weak_chain_text(steps):
+    """A weak expansion chain: 200 arguments, then one more per step, attacked by an old one."""
+    ids = [f"a{i:03d}" for i in range(200)]
+    arguments = [(x, 0.5) for x in ids]
+    attacks, supports = list(zip(ids, ids[1:])), list(zip(ids, ids[2:]))
+    chain = []
+    for k in range(steps):
+        arguments.append((f"n{k:03d}", 0.25))
+        attacks.append((ids[k], f"n{k:03d}"))
+        chain.append(build_qbag(arguments, attacks=attacks, supports=supports))
+    return serialize_chain(build_chain(chain))
+
+
+class TestFoldMemory:
+    """A chain call holds one step and what it folds the steps into, never the chain."""
+
+    QUERY = ["--topics", "a000,a100", "--threshold", "0.3"]
+
+    def _peak(self, runner, argv):
+        runner.invoke(main, argv)  # the modules a call imports are not what it holds
         tracemalloc.start()
         try:
-            chain = cli._read_chain(str(path))
+            result = runner.invoke(main, argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chain == parse_chain(text)
-        assert peak < len(text)
+        assert result.exit_code == 0, result.output
+        return peak
+
+    def test_validate_holds_the_same_at_twice_the_steps(self, runner, tmp_path):
+        peaks = []
+        for steps in (40, 80):
+            path = tmp_path / f"weak{steps}.json"
+            path.write_text(_weak_chain_text(steps), encoding="utf-8")
+            peaks.append(self._peak(runner, ["validate", str(path)]))
+        # from 40 to 80 steps the parsed chain grows by about 1.6 MB, a streamed call's peak by 60 KB
+        assert peaks[1] < peaks[0] + 256 * 1024
+
+    @pytest.mark.parametrize("command", ["analyze", "curve"])
+    def test_analyze_and_curve_hold_less_than_the_parsed_chain(self, runner, tmp_path, command):
+        text = _weak_chain_text(80)
+        path = _chain_file(tmp_path, text)
+        tracemalloc.start()
+        try:
+            chain = parse_chain(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(chain) == 80
+        del chain
+        assert self._peak(runner, [command, str(path), *self.QUERY]) < held
+
+
+# the canonical LONG_SWEEP with a cycle at step 1, and that plus a duplicate id at step 201
+_CYCLE_DATA = json.loads(LONG_SWEEP)
+_CYCLE_DATA["steps"][0]["attacks"].append(["a", "c"])  # c attacks a already
+CYCLIC_SWEEP = canonical_json(_CYCLE_DATA)
+_CYCLE_DATA["steps"][200]["arguments"].append({"id": "c", "initial": 0.5})
+CYCLIC_DUPLICATE_SWEEP = canonical_json(_CYCLE_DATA)
+# LONG_SWEEP off the layout at the third step's supports key, and still valid JSON
+_PARTS = LONG_SWEEP.split('"supports": ', 3)
+OFF_LAYOUT_SWEEP = '"supports": '.join(_PARTS[:3]) + '"supports":  ' + _PARTS[3]
+_FOLDS = {
+    "validate": [],
+    "analyze": ["--topics", "a,b", "--threshold", "0.1"],
+    "curve": ["--topics", "a,b", "--threshold", "0.1"],
+}
+
+
+class TestFold:
+    """validate, analyze and curve fold the streamed steps, with the whole-document outcome."""
+
+    @pytest.fixture(params=list(_FOLDS))
+    def command(self, request):
+        return request.param
+
+    def test_the_files_keep_the_layout_up_to_their_fault(self):
+        # so the chunked fold starts, over several reads, before any fallback
+        for text in (CYCLIC_SWEEP, CYCLIC_DUPLICATE_SWEEP, OFF_LAYOUT_SWEEP):
+            assert len(text) >= 2 * _chain_reader._READ_CHUNK
+        for text in (CYCLIC_SWEEP, CYCLIC_DUPLICATE_SWEEP):  # a duplicate id is the builder's error
+            assert len(list(_chain_reader._canonical_steps((text,)))) == 300
+        steps = _chain_reader._canonical_steps((OFF_LAYOUT_SWEEP,))
+        next(steps), next(steps)
+        with pytest.raises((_chain_reader._OffLayout, ValueError)):  # the decode fails at step 3
+            next(steps)
+
+    def test_a_read_error_after_an_evaluation_error_comes_first(self, runner, tmp_path, command):
+        path = _chain_file(tmp_path, CYCLIC_DUPLICATE_SWEEP)
+        result = runner.invoke(main, [command, str(path), *_FOLDS[command]])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr_bytes == _whole_path_error(CYCLIC_DUPLICATE_SWEEP).encode()
+        assert result.stderr.startswith("DuplicateArgument: steps[200]: ")
+
+    def test_a_file_off_the_layout_after_some_steps_gives_the_compact_output(
+        self, runner, tmp_path, monkeypatch, command
+    ):
+        compact = _chain_file(tmp_path, json.dumps(json.loads(LONG_SWEEP)))
+        expected = runner.invoke(main, [command, str(compact), *_FOLDS[command]])
+        assert expected.exit_code == 0
+        calls = []
+        original = _chain_reader._canonical_steps
+
+        def counting(chunks):
+            calls.append(chunks)
+            return original(chunks)
+
+        monkeypatch.setattr(_chain_reader, "_canonical_steps", counting)
+        path = _chain_file(tmp_path, OFF_LAYOUT_SWEEP)
+        result = runner.invoke(main, [command, str(path), *_FOLDS[command]])
+        assert (result.exit_code, result.stdout_bytes, result.stderr_bytes) == (
+            0,
+            expected.stdout_bytes,
+            b"",
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "curve"])
+    def test_an_evaluation_error_comes_before_the_query(self, runner, tmp_path, command):
+        path = _chain_file(tmp_path, CYCLIC_SWEEP)
+        for query in (["--topics", ",", "--threshold", "0.1"], ["--topics", "z", "--threshold", "2"]):
+            result = runner.invoke(main, [command, str(path), *query])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == "CyclicGraph: step 1: cycle through argument 'a'\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "curve"])
+    def test_a_document_error_comes_before_an_unknown_semantics(self, runner, tmp_path, command):
+        # and an unknown semantics before an evaluation error
+        for text, error in [
+            (CYCLIC_DUPLICATE_SWEEP, _whole_path_error(CYCLIC_DUPLICATE_SWEEP)),
+            (CYCLIC_SWEEP, "UnknownSemantics: unknown semantics 'nope' (known: dfquad)\n"),
+        ]:
+            path = _chain_file(tmp_path, text)
+            result = runner.invoke(main, [command, str(path), *_FOLDS[command], "--semantics", "nope"])
+            assert (result.exit_code, result.stdout, result.stderr) == (2, "", error)
+
+    @pytest.mark.parametrize("case", CHAIN_ERRORS, ids=[case["name"] for case in CHAIN_ERRORS])
+    def test_validate_writes_nothing_when_the_read_fails(self, runner, tmp_path, case):
+        path = _chain_file(tmp_path, case["text"].encode("utf-8", "surrogatepass"))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"{case['error']}: {case['message']}\n"
+
+
+class TestTracedNames:
+    """The chain calls go through the public names that the traced benchmark lane wraps."""
+
+    NAMES = ("evaluate_chain", "is_expansion_chain", "is_normal_expansion_chain", "is_weak_expansion_chain")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {name: [] for name in self.NAMES}
+        for name in self.NAMES:
+            original = getattr(qbag.chain, name)
+
+            def counting(steps, *rest, _original=original, _calls=calls[name]):
+                _calls.append(steps)
+                return _original(steps, *rest)
+
+            monkeypatch.setattr(qbag.chain, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["analyze", "curve"])
+    def test_analyze_and_curve_evaluate_the_stream_once(self, runner, tmp_path, calls, command):
+        path = _chain_file(tmp_path, LONG_SWEEP)
+        result = runner.invoke(main, [command, str(path), *_FOLDS[command]])
+        assert result.exit_code == 0
+        [steps] = calls["evaluate_chain"]
+        assert not isinstance(steps, qbag.chain.Chain)
+
+    def test_validate_classifies_each_consecutive_pair(self, runner, tmp_path, calls):
+        text = _weak_chain_text(5)
+        result = runner.invoke(main, ["validate", str(_chain_file(tmp_path, text))])
+        assert result.stdout.endswith("expansion: yes\nnormal: yes\nweak: yes\n")
+        pairs = list(pairwise(parse_chain(text)))
+        for name in self.NAMES[1:]:
+            assert [tuple(pair) for pair in calls[name]] == pairs
+            assert all(type(pair) is qbag.chain.Chain for pair in calls[name])
+
+    def test_a_class_a_pair_misses_is_not_asked_again(self, runner, chain_path, calls):
+        # the dialogue's first pair is normal but not weak
+        result = runner.invoke(main, ["validate", chain_path])
+        assert result.stdout.endswith("expansion: yes\nnormal: yes\nweak: no\n")
+        assert [len(calls[name]) for name in self.NAMES] == [0, 2, 2, 1]
 
 
 class TestCurve:
