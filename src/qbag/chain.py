@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import pairwise
 from math import copysign
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain, UnknownArgument
 from .graph import (
@@ -82,10 +82,11 @@ class StrengthMatrix(_Record):
             raise TopicNotInChain(f"argument {x!r} missing from step {i}") from None
 
 
-def build_chain(qbags: Sequence[QBAG]) -> Chain:
-    if not qbags:
+def build_chain(qbags: Iterable[QBAG]) -> Chain:
+    steps = tuple(qbags)
+    if not steps:
         raise EmptyChain("a chain needs at least one graph")
-    return Chain(steps=tuple(qbags))
+    return Chain(steps=steps)
 
 
 def is_expansion_chain(c: Chain) -> bool:
@@ -154,7 +155,7 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
     steps = []
     for v in values:
         v = validate_strength(v, owner=f"sweep value for {x!r}")
-        steps.append(QBAG(args=g.args, tau={**base, x: v}, att=g.att, supp=g.supp))
+        steps.append(QBAG._owning(g.args, {**base, x: v}, g.att, g.supp))
     return Chain(steps=tuple(steps))
 
 

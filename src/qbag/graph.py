@@ -71,6 +71,22 @@ class _Record:
             if value is not None:
                 set_field(self, name, MappingProxyType(dict(value)))
 
+    @classmethod
+    def _owning(cls, *values: object) -> _Record:
+        """The record of every field's value, in annotation order, keeping each mapping given.
+
+        For the library's own builders: a mapping field's value must be a
+        dict that the caller has just made and keeps no reference to, as
+        it is wrapped in the read-only view, not copied.  No ``__init__``
+        of the record's runs, so neither do its checks.
+        """
+        record = object.__new__(cls)
+        fields = vars(record)  # past the frozen __setattr__; only _Record has __slots__
+        fields.update(zip(cls.__match_args__, values))
+        for name in cls._views:
+            fields[name] = MappingProxyType(fields[name])
+        return record
+
     def _refuse(self, problem: str) -> None:
         fields = ", ".join(self.__match_args__)
         raise TypeError(f"{type(self).__qualname__}({fields}): {problem}")
@@ -146,6 +162,11 @@ def validate_strength(value: float, owner: str = "strength") -> float:
 _FORBIDDEN_IN_ID = re.compile(r"[\s,\ud800-\udfff]")
 
 
+def _valid_ids(ids: Collection) -> bool:
+    """Whether :func:`validate_argument_id` passes every id, in one pass over all of them."""
+    return set(map(type, ids)) <= {str} and "" not in ids and not _FORBIDDEN_IN_ID.search("".join(ids))
+
+
 def validate_argument_id(arg: object) -> str:
     if not isinstance(arg, str) or not arg:
         raise InvalidArgumentId(f"argument id must be a non-empty string, got {arg!r}")
@@ -169,9 +190,52 @@ def build_qbag(
     then endpoints, attacks before supports, reporting the least
     offending pair; then overlap.  Self-loops are structurally allowed
     here; they are cycles and get rejected at evaluation time.  These
-    rules live only in this module.  Document parsing builds every
-    valid step with :func:`_extend_qbag` and calls this function only
-    to word the error of a step that breaks a rule.
+    rules live only in this module.  Lists and tuples of argument and
+    pair tuples are checked in a few passes over the whole graph, and a
+    graph they pass is built by :func:`_extend_qbag`, as every valid
+    document step is.  Any other input, and any graph those passes cannot
+    vouch for, goes to :func:`_build_each`, which words the error.
+    """
+    if {type(args), type(attacks), type(supports)} <= {list, tuple}:
+        g = _build_at_once(args, attacks, supports)
+        if g is not None:
+            return g
+    return _build_each(args, attacks, supports)
+
+
+def _twos(items: Collection) -> bool:
+    return set(map(type, items)) <= {tuple} and set(map(len, items)) <= {2}
+
+
+def _build_at_once(args: Collection, attacks: Collection, supports: Collection) -> QBAG | None:
+    """build_qbag of sequences, or None where it raises or where these passes cannot tell.
+
+    The caller's pair tuples are kept.
+    """
+    if not _twos(args):
+        return None
+    ids, values = zip(*args) if args else ((), ())
+    try:
+        strengths = list(map(float, values))
+    except Exception:  # _build_each raises it, or an error it finds first
+        return None
+    # a NaN makes the sum NaN; without one, min and max are exact
+    total = sum(strengths)
+    if strengths and (total != total or min(strengths) < 0.0 or max(strengths) > 1.0):
+        return None
+    for pairs in (attacks, supports):
+        if not (_twos(pairs) and set(map(type, chain.from_iterable(pairs))) <= {str}):
+            return None
+    return _extend_qbag(_EMPTY, ids, strengths, attacks, supports)
+
+
+def _build_each(
+    args: Iterable[tuple[str, float]], attacks: Iterable[Edge], supports: Iterable[Edge]
+) -> QBAG:
+    """build_qbag, checking one argument and one pair at a time.
+
+    The one place that words a build error, and the reference that
+    build_qbag's passes are tested against.
     """
     tau: dict[str, float] = {}
     for arg, strength in args:
@@ -209,10 +273,10 @@ def _extend_qbag(
 
     The step extends prev if it contains prev, and ``_EMPTY`` otherwise,
     as ``chain._plans`` has it.  Only what it adds is checked, and an id
-    only where prev lacks it: prev passed every rule.  An extension keeps
-    prev's pair tuples.  The values must be ints or floats in [0, 1] and
-    the pairs tuples of strings.  build_qbag words the error of a step
-    this returns None for.
+    only where prev lacks it, all in one pass: prev passed every rule.  An
+    extension keeps prev's pair tuples.  The values must be ints or floats
+    in [0, 1] and the pairs tuples of strings.  ``_build_each`` words the
+    error of a step this returns None for.
     """
     try:
         tau = dict(zip(ids, map(float, values)))
@@ -228,19 +292,15 @@ def _extend_qbag(
     elif prev.args:  # keep prev's pair tuples
         att, supp = prev.att | added[1], prev.supp | added[2]
     new_args, new_att, new_supp = added
-    try:
-        for arg in new_args:
-            validate_argument_id(arg)
-    except InvalidArgumentId:
-        return None
     if not (
-        args.issuperset(chain.from_iterable(new_att))
+        _valid_ids(new_args)
+        and args.issuperset(chain.from_iterable(new_att))
         and args.issuperset(chain.from_iterable(new_supp))
         and new_att.isdisjoint(supp)
         and new_supp.isdisjoint(att)
     ):
         return None
-    return QBAG(args, tau, att, supp)
+    return QBAG._owning(args, tau, att, supp)
 
 
 _NOTHING = frozenset(), frozenset(), frozenset()  # what a step that shares prev's sets adds
@@ -253,13 +313,16 @@ def _added(
 
     None when the step drops an argument or an edge of prev's.  This is
     the one place that compares a step's structure with its predecessor's.
-    A step that shares prev's sets adds nothing.  A rewired step seldom
+    A step that shares prev's sets adds nothing, and to ``_EMPTY`` a step
+    adds its sets themselves.  A rewired step seldom
     keeps an arbitrary edge of prev's, so one probe per relation rejects
     most of them before any difference is taken; otherwise the sizes of
     the differences decide containment, in one pass over each set.
     """
     if args is prev.args and att is prev.att and supp is prev.supp:
         return _NOTHING
+    if prev is _EMPTY:
+        return args, att, supp
     for old, given in ((prev.att, att), (prev.supp, supp)):
         if old and next(iter(old)) not in given:
             return None
@@ -367,15 +430,18 @@ def is_acyclic(g: QBAG) -> bool:
 
 
 def restrict(g: QBAG, keep: Iterable[str]) -> QBAG:
-    """The restriction of g to the given argument subset."""
-    keep = set(keep)
+    """The restriction of g to the given argument subset, its strengths in g's key order."""
+    if isinstance(keep, str):  # set("ab") is {"a", "b"}
+        raise TypeError(f"keep must be a collection of ids, not the str {keep!r}")
+    keep = dict.fromkeys(keep)  # in the given order, so the first unknown id is named
     for x in keep:
         _require_argument(g, x)
-    return QBAG(
-        args=frozenset(keep),
-        tau={x: g.tau[x] for x in keep},
-        att=frozenset(p for p in g.att if p[0] in keep and p[1] in keep),
-        supp=frozenset(p for p in g.supp if p[0] in keep and p[1] in keep),
+    tau = {x: v for x, v in g.tau.items() if x in keep}
+    return QBAG._owning(
+        frozenset(tau),
+        tau,
+        frozenset(p for p in g.att if p[0] in keep and p[1] in keep),
+        frozenset(p for p in g.supp if p[0] in keep and p[1] in keep),
     )
 
 

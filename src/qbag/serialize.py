@@ -172,7 +172,7 @@ def _step(previous, path, entries, attacks, supports) -> _Step:
         if attacks == previous.attacks and supports == previous.supports:
             g = previous.graph
             tau = dict(zip(ids, map(float, values)))
-            return _Step(ids, attacks, supports, QBAG(g.args, tau, g.att, g.supp))
+            return _Step(ids, attacks, supports, QBAG._owning(g.args, tau, g.att, g.supp))
     g = _extend_qbag(_EMPTY if previous is None else previous.graph, ids, values, attacks, supports)
     if g is None:
         try:

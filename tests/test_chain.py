@@ -67,6 +67,16 @@ class TestBuild:
         with pytest.raises(EmptyChain):
             build_chain([])
 
+    @pytest.mark.parametrize("empty", [lambda: iter([]), lambda: (g for g in [])])
+    def test_an_empty_iterator_is_rejected(self, empty):
+        # an iterator is truthy whether or not it yields anything
+        with pytest.raises(EmptyChain):
+            build_chain(empty())
+
+    def test_an_iterator_of_steps_is_built(self):
+        steps = [dialogue_step1(), dialogue_step3()]
+        assert build_chain(iter(steps)).steps == tuple(steps)
+
 
 @st.composite
 def signed_sweeps(draw):

@@ -2,8 +2,14 @@
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
 import sys
+from fractions import Fraction
+from itertools import chain as joined
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +47,7 @@ from qbag import (
     topological_order,
 )
 import qbag.graph
-from qbag.graph import _EMPTY, _extend_index, _extend_qbag, _index, _Index
+from qbag.graph import _EMPTY, _build_each, _extend_index, _extend_qbag, _index, _Index
 
 from .cases import dialogue, dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
 from .oracles import oracle_index
@@ -117,6 +123,137 @@ class TestBuild:
         assert not is_acyclic(g)
 
 
+class Named(str):
+    """An id that equals a plain one but is not of the exact type str."""
+
+
+class Renamed(str):
+    """An id whose str() is another id."""
+
+    def __str__(self):
+        return "renamed"
+
+
+SPACES = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+ODD_IDS = st.one_of(
+    st.sampled_from(["", ",", "x,y", "\ud800", "a\udfff", 7, None, 0.5, ("t",), ["m"]]),
+    st.sampled_from([Named("a"), Named("q"), Renamed("b"), Renamed("renamed")]),
+    st.sampled_from(SPACES).map(lambda space: f"a{space}b"),
+)
+ODD_STRENGTHS = st.sampled_from(
+    ["0.5", " 0.25 ", "1e-3", "nan", "x", True, False, Fraction(1, 3), float("nan"),
+     float("inf"), float("-inf"), -0.0, 10**400, 1.5, -0.1, None, 1, 0]
+)
+ODD_ENTRIES = st.sampled_from([["a", 0.5], ("a",), ("a", 0.5, 0.5), "a1", "b5", 3])
+
+
+def odd_pairs(x, y):
+    """Pairs of ids x and y that are not two plain strs, or that name an undeclared id."""
+    return st.sampled_from(
+        [[x, y], (x,), (x, y, x), x + y, (Named(x), y), (x, Renamed(y)), (x, 7), ("z", x), (x, "z")]
+    )
+
+
+BREAKING = ("id", "duplicate", "strength", "entry", "pair", "overlap", "big-after-bad-id")
+
+
+def _shaped(items, shape):
+    if shape == "list":
+        return list(items)
+    if shape == "tuple":
+        return tuple(items)
+    if shape == "generator":
+        return (item for item in items)
+
+    def raising():
+        yield from items
+        raise RuntimeError("the input failed")
+
+    return raising()
+
+
+@st.composite
+def build_inputs(draw):
+    """A function that makes fresh (args, attacks, supports) for build_qbag.
+
+    The graph may break any rule, in one or two places, and each input is
+    a list, a tuple, a generator, or a generator that raises at its end.
+    """
+    ids = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, min_size=1, max_size=6))
+    entries = [(x, draw(st.one_of(signed_strengths, st.sampled_from([0, 1])))) for x in ids]
+    pairs = [(x, y) for x in ids for y in ids]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+    attacks = [p for p in edges if draw(st.booleans())]
+    supports = [p for p in edges if p not in attacks]
+    for broken in draw(st.lists(st.sampled_from(BREAKING), max_size=2)):
+        at = draw(st.integers(0, len(entries)))
+        if broken == "id":
+            entries.insert(at, (draw(ODD_IDS), 0.5))
+        elif broken == "duplicate":
+            entries.insert(at, (draw(st.sampled_from(ids)), draw(signed_strengths)))
+        elif broken == "strength":
+            entries.insert(at, (draw(st.sampled_from("stuv")), draw(ODD_STRENGTHS)))
+        elif broken == "entry":
+            entries.insert(at, draw(ODD_ENTRIES))
+        elif broken == "pair":
+            relation = draw(st.sampled_from([attacks, supports]))
+            x, y = draw(st.sampled_from(pairs))
+            relation.insert(draw(st.integers(0, len(relation))), draw(odd_pairs(x, y)))
+        elif broken == "overlap" and edges:
+            pair = draw(st.sampled_from(edges))
+            (supports if pair in attacks else attacks).append(pair)
+        elif broken == "big-after-bad-id":
+            entries[at:at] = [(draw(ODD_IDS), 0.5), ("w", 10**400)]
+    shapes = draw(st.lists(st.sampled_from(["list", "tuple"]), min_size=3, max_size=3))
+    if draw(st.booleans()):  # one input is read lazily, and may raise at its end
+        shapes[draw(st.integers(0, 2))] = draw(st.sampled_from(["generator", "raising"]))
+    return lambda: tuple(map(_shaped, (entries, attacks, supports), shapes))
+
+
+def _built(build, inputs):
+    """What build makes of the inputs: the graph, its key order, bits and types, or the error."""
+    try:
+        g = build(*inputs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    pairs = g.att | g.supp
+    types = {type(p) for p in pairs}, {type(x) for x in joined(g.args, *pairs)}
+    return g, list(g.tau), [v.hex() for v in g.tau.values()], types
+
+
+class TestBuildAtOnce:
+    """build_qbag checks lists and tuples in bulk; the loop of _build_each is the reference."""
+
+    @given(build_inputs())
+    @settings(max_examples=1000)
+    def test_agrees_with_the_loop(self, make):
+        assert _built(build_qbag, make()) == _built(_build_each, make())
+
+    @given(arbitrary_qbags(), st.booleans())
+    def test_valid_sequences_never_reach_the_loop(self, g, as_tuple):
+        shape = tuple if as_tuple else list
+        args = shape(g.tau.items())
+        attacks, supports = shape(g.att), shape(g.supp)
+        inputs = args, attacks, supports
+        with mock.patch.object(qbag.graph, "_build_each", side_effect=AssertionError):
+            assert _built(build_qbag, inputs) == _built(_build_each, inputs)
+
+    @pytest.mark.parametrize("pair", [(Named("a"), "b"), ("a", Renamed("b")), ("a", Named("b"))])
+    def test_a_str_subclass_endpoint_is_built_as_the_loop_builds_it(self, pair):
+        # the loop makes each endpoint a plain str by str(), so a Renamed one dangles
+        args = [("a", 0.5), ("b", 0.5)]
+        assert _built(build_qbag, (args, [pair], [])) == _built(_build_each, (args, [pair], []))
+
+    def test_the_callers_pair_tuples_are_kept(self):
+        attacks, supports = [("a", "b")], [("b", "c")]
+        g = build_qbag([("a", 0.5), ("b", 0.5), ("c", 0.5)], attacks, supports)
+        assert next(iter(g.att)) is attacks[0] and next(iter(g.supp)) is supports[0]
+
+    def test_an_overflowing_strength_does_not_beat_an_earlier_bad_id(self):
+        with pytest.raises(InvalidArgumentId, match="got ''"):
+            build_qbag([("", 0.5), ("b", 10**400)])
+
+
 # what a step may break: ids, uniqueness, endpoints, disjointness; the
 # reader has checked that every strength is an int or float in [0, 1] and
 # that every pair is two strings
@@ -176,14 +313,14 @@ def steps_after(draw):
 
 
 class TestExtendQbag:
-    """graph._extend_qbag builds every valid step; build_qbag is the reference."""
+    """graph._extend_qbag builds every valid step; the loop of _build_each is the reference."""
 
     @given(steps_after(), st.booleans())
     @settings(max_examples=500)
     def test_agrees_with_build_qbag(self, step, as_tuple):
         prev, ids, values, attacks, supports = step
         try:
-            expected = build_qbag(zip(ids, values), attacks, supports)
+            expected = _build_each(zip(ids, values), attacks, supports)
         except QbagError:
             expected = None
         found = _extend_qbag(prev, tuple(ids) if as_tuple else ids, values, attacks, supports)
@@ -214,9 +351,9 @@ class TestExtendQbag:
         prev = dialogue_step3()
         ids = sorted(prev.args) + ["f"]
         checked = []
-        original = qbag.graph.validate_argument_id
+        original = qbag.graph._valid_ids
         monkeypatch.setattr(
-            qbag.graph, "validate_argument_id", lambda x: checked.append(x) or original(x)
+            qbag.graph, "_valid_ids", lambda ids: checked.extend(ids) or original(ids)
         )
         found = _extend_qbag(prev, ids, [0.5] * 6, [("a", "b")], [("f", "a")])
         assert checked == ["f"]
@@ -365,6 +502,26 @@ class TestRestrict:
     def test_unknown_argument(self):
         with pytest.raises(UnknownArgument):
             restrict(dialogue_step1(), {"z"})
+
+    def test_the_result_does_not_depend_on_the_hash_seed(self):
+        # the strengths keep g's key order, and the first unknown id given is named
+        code = (
+            "from qbag import build_qbag, restrict\n"
+            "g = build_qbag([(x, 0.5) for x in 'hbcfaegd'])\n"
+            "print(list(restrict(g, set('abcfh')).tau))\n"
+            "restrict(g, ['a', 'z', 'y', 'x'])\n"
+        )
+        src = str(Path(qbag.graph.__file__).parents[1])
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+            assert run.stdout == b"['h', 'b', 'c', 'f', 'a']\n"
+            assert run.stderr.endswith(b"UnknownArgument: argument 'z' not in graph\n")
+
+    def test_a_bare_str_is_refused(self):
+        # set("ab") is {"a", "b"}
+        with pytest.raises(TypeError, match=r"^keep must be a collection of ids, not the str 'ab'$"):
+            restrict(build_qbag([("a", 0.5), ("b", 0.5)]), "ab")
 
     @given(acyclic_qbags(), st.data())
     def test_restriction_is_sub_qbag(self, g, data):
