@@ -35,17 +35,13 @@ _decode = json.JSONDecoder().raw_decode
 _READ_CHUNK = 1 << 16
 
 
-class _OffLayout(Exception):
-    """The text leaves the canonical layout of a chain document."""
-
-
 class _Reread(Exception):
-    """The chunked read of a chain file failed: the general path reads it again and decides."""
+    """The text leaves the canonical layout, or a chunked read failed: the general path decides."""
 
 
 def _skip(text: str, pos: int, literal: str) -> int:
     if not text.startswith(literal, pos):
-        raise _OffLayout(pos)
+        raise _Reread(pos)
     return pos + len(literal)
 
 
@@ -53,7 +49,7 @@ def _flat_arguments(value: object) -> list[tuple[str, int | float]]:
     """_arguments of a decoded block; the proof below also needs string ids."""
     entries = _arguments(value, "")
     if any(type(x) is not str for x, _ in entries):
-        raise _OffLayout
+        raise _Reread
     return entries
 
 
@@ -196,7 +192,7 @@ class _Blocks:
             value, end = _decode(wrapped)
             value = self.flat(value)
             if end != len(wrapped) or len(value) != joined.count(sep) + 1:
-                raise _OffLayout
+                raise _Reread
             for at, run in reversed(spots):  # from the end, so each place stays put
                 cut = len(value) - run.count(sep) - 1
                 items[at:at], value[cut:] = value[cut:], []
@@ -258,7 +254,7 @@ def _canonical_steps(chunks: Iterable[str]) -> Iterator[tuple[list, list, list]]
             text, end = next(windows)
             pos = 0
     if _skip(text, pos, _CHAIN_CLOSE) != len(text) or next(windows, None) is not None:
-        raise _OffLayout(pos)
+        raise _Reread(pos)
 
 
 def _file_graphs(path: str) -> Iterator[QBAG]:

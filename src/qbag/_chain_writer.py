@@ -16,7 +16,7 @@ from operator import is_not
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .graph import _EMPTY, QBAG, Edge, _added
-from .serialize import _CHAIN_CLOSE, _CHAIN_OPEN, _STEP_BRACE, _STEP_CLOSE, _STEP_SEPARATOR, FORMAT_VERSION
+from .serialize import _CHAIN_CLOSE, _CHAIN_OPEN, _STEP_BRACE, _STEP_CLOSE, _STEP_SEPARATOR
 
 if TYPE_CHECKING:
     from .chain import Chain
@@ -33,13 +33,6 @@ def _number(value: object) -> str:
     if type(value) is float and -_INFINITY < value < _INFINITY:
         return float.__repr__(value)
     return json.dumps(value)
-
-
-def _block(items: list[str], pad: str) -> str:
-    """A JSON list of pre-rendered items under a key indented by pad."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
 def _merged(keys: list, items: list, new: Iterable, render: Callable) -> tuple[list, list]:
@@ -95,8 +88,9 @@ def _payloads(graphs: Iterable[QBAG], pad: str, end: str) -> Iterator[list[str]]
         return [pair_head + _string(s) + pair_middle + _string(t) + pair_tail for s, t in edges]
 
     def relation(old: tuple, new: frozenset[Edge]) -> tuple[list, list, str]:
+        # new is never empty, so neither is the block
         edges, texts = _merged(old[0], old[1], new, pairs)
-        return edges, texts, _block(texts, pad)
+        return edges, texts, "[\n" + ",\n".join(texts) + f"\n{pad}]"
 
     last = None
     for g in graphs:
@@ -129,10 +123,6 @@ def _payloads(graphs: Iterable[QBAG], pad: str, end: str) -> Iterator[list[str]]
         parts[len(args) + 2] = close if args else "[]"  # the last separator, or "[\n"
         yield parts
         last = g
-
-
-def _envelope(kind: str) -> str:
-    return f'{{\n  "format_version": {_string(FORMAT_VERSION)},\n  "kind": {_string(kind)},\n'
 
 
 def _chain_parts(c: Chain) -> Iterator[list[str]]:

@@ -20,6 +20,7 @@ from .graph import (
     Edge,
     _EMPTY,
     _added,
+    _downstream,
     _extend_index,
     _Index,
     _index,
@@ -180,15 +181,26 @@ def _plans(steps: Iterable[QBAG]) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]
         prev = g
 
 
-def _acyclic_steps(steps: Iterable[QBAG]) -> list[bool]:
-    """``[is_acyclic(g) for g in steps]``, checking each step only where it changed.
+def _validated(steps: Iterable[QBAG]) -> tuple[list[bool], list[bool]]:
+    """Each step's acyclicity, and whether the chain is an expansion, normal and weak one.
 
-    A step can only close a cycle through an argument whose in-edges it
-    changed, so only their downstream cone is checked.  The empty graph is
-    acyclic, and a step that extends a cyclic one keeps its cycle.
+    One pass over the step plans, holding only the last step.  Each
+    consecutive pair is classified by the public classifiers.  Each class
+    is decided pair by pair, so the chain is in it exactly when every pair
+    is, and a chain of one step is in every class.  A class a pair is not
+    in is not asked of the pairs after it.  A step can only close a cycle
+    through an argument whose in-edges it changed, so only their
+    downstream cone is checked.  The empty graph is acyclic, and a step
+    that extends a cyclic one keeps its cycle.
     """
+    classes = [is_expansion_chain, is_normal_expansion_chain, is_weak_expansion_chain]
+    kinds = [True] * len(classes)
     verdicts: list[bool] = []
-    for _, base, index, changed in _plans(steps):
+    prev = None
+    for g, base, index, changed in _plans(steps):
+        if prev is not None:
+            pair = Chain(steps=(prev, g))
+            kinds = [kind and is_kind(pair) for kind, is_kind in zip(kinds, classes)]
         acyclic = base is _EMPTY or verdicts[-1]
         if acyclic and changed:
             try:
@@ -196,31 +208,8 @@ def _acyclic_steps(steps: Iterable[QBAG]) -> list[bool]:
             except CyclicGraph:
                 acyclic = False
         verdicts.append(acyclic)
-    return verdicts
-
-
-def _validated(steps: Iterable[QBAG]) -> tuple[list[bool], list[bool]]:
-    """Each step's acyclicity, and whether the chain is an expansion, normal and weak one.
-
-    One pass over the steps: each consecutive pair is classified as it
-    arrives, by the public classifiers, and only the last step is held.
-    Each class is decided pair by pair, so the chain is in it exactly
-    when every pair is, and a chain of one step is in every class.  A
-    class a pair is not in is not asked of the pairs after it.
-    """
-    classes = [is_expansion_chain, is_normal_expansion_chain, is_weak_expansion_chain]
-    kinds = [True] * len(classes)
-
-    def classified() -> Iterator[QBAG]:
-        prev = None
-        for g in steps:
-            if prev is not None:
-                pair = Chain(steps=(prev, g))
-                kinds[:] = [kind and is_kind(pair) for kind, is_kind in zip(kinds, classes)]
-            yield g
-            prev = g
-
-    return _acyclic_steps(classified()), kinds
+        prev = g
+    return verdicts, kinds
 
 
 def evaluate_chain(steps: Iterable[QBAG], sem: SemanticsDescriptor = DFQUAD) -> StrengthMatrix:
@@ -287,17 +276,3 @@ def _retuned(prev: QBAG, g: QBAG) -> set[str]:
         for x, v in old.items()
         if (w := new[x]) != v or (w == 0.0 and copysign(1.0, w) != copysign(1.0, v))
     }
-
-
-def _downstream(successors: dict[str, list[str]], seeds: set[str]) -> set[str]:
-    """The seeds plus every argument they reach."""
-    if len(seeds) == len(successors):  # every indexed argument already
-        return seeds
-    cone = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for y in successors[stack.pop()]:
-            if y not in cone:
-                cone.add(y)
-                stack.append(y)
-    return cone

@@ -4,7 +4,8 @@ Subcommands: validate, eval, analyze, sweep, curve.  Input files are
 UTF-8 documents in the format described in qbag.serialize; results go to
 standard output, diagnostics to standard error.  Exit status is 0 on
 success and 2, with one line on standard error, on any usage or input
-problem.
+problem.  When the reader of standard output goes away, a call ends
+with 1 and nothing on standard error, as ``_emit`` says.
 
 Each subcommand takes one positional path and the options of its entry in
 ``_COMMANDS``.  An option that takes a value takes the next token, whatever
@@ -42,17 +43,24 @@ def _emit(texts: Iterable[str], err: bool = False) -> None:
 
     A stream whose encoding is ASCII is taken to be misconfigured: the
     texts go to its byte buffer in UTF-8 instead, so ids outside ASCII
-    print the same bytes whatever the locale says.
+    print the same bytes whatever the locale says.  Every write of the
+    command line comes here, help and usage included, so a stream whose
+    reader went away ends any call the same way: exit 1, no traceback.
     """
     stream = sys.stderr if err else sys.stdout
     if stream is None:  # the process started with that descriptor closed
         return
-    buffer = getattr(stream, "buffer", None)
-    if buffer is not None and codecs.lookup(stream.encoding or "ascii").name == "ascii":
+    try:
+        buffer = getattr(stream, "buffer", None)
+        if buffer is not None and codecs.lookup(stream.encoding or "ascii").name == "ascii":
+            stream.flush()
+            stream, texts = buffer, (text.encode("utf-8", "replace") for text in texts)
+        stream.writelines(texts)
         stream.flush()
-        stream, texts = buffer, (text.encode("utf-8", "replace") for text in texts)
-    stream.writelines(texts)
-    stream.flush()
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered nowhere, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.exit(1)
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -426,7 +434,8 @@ def _parse(where: str, command: _Command, tokens: list[str]) -> tuple[str, dict[
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command line, ``sys.argv[1:]`` by default.
 
-    Always ends in SystemExit: 0 on success, 2 on a usage or input problem.
+    Always ends in SystemExit: 0 on success, 2 on a usage or input
+    problem, and 1 when the reader of standard output went away.
     """
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or "qbag"
@@ -447,10 +456,6 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         command.run(path, **options)
     except QbagError as exc:
         _fail(f"{type(exc).__name__}: {exc}")
-    except BrokenPipeError:
-        # the reader went away; send what is still buffered nowhere, without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
     sys.exit(0)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from collections import deque
 from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, NamedTuple
@@ -100,13 +99,13 @@ class _Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        values = self._values()
-        return hash(tuple([frozenset(v.items()) if type(v) is MappingProxyType else v for v in values]))
+        return hash(
+            tuple([frozenset(v.items()) if type(v) is MappingProxyType else v for v in self._values()])
+        )
 
     def __reduce__(self) -> tuple:
         # a view does not pickle; the constructor makes a new one from a dict
-        values = self._values()
-        return type(self), tuple([dict(v) if type(v) is MappingProxyType else v for v in values])
+        return type(self), tuple([dict(v) if type(v) is MappingProxyType else v for v in self._values()])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -152,6 +151,8 @@ def validate_strength(value: float, owner: str = "strength") -> float:
         value = float(value)
     except (TypeError, ValueError):
         raise StrengthOutOfRange(f"{owner}: {value!r} is not a number") from None
+    except OverflowError:  # an int or a Fraction whose repr may be too long to make
+        raise StrengthOutOfRange(f"{owner}: beyond the float range, outside [0, 1]") from None
     if not 0.0 <= value <= 1.0:
         raise StrengthOutOfRange(f"{owner}: {value!r} outside [0, 1]")
     return value
@@ -406,18 +407,8 @@ def reaches(g: QBAG, x: str, y: str) -> bool:
     """True iff a directed path of length >= 1 leads from x to y."""
     _require_argument(g, x)
     _require_argument(g, y)
-    adj = _index(g).successors
-    seen: set[str] = set()
-    frontier = deque(adj[x])
-    while frontier:
-        node = frontier.popleft()
-        if node == y:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(adj[node])
-    return False
+    successors = _index(g).successors
+    return y in _downstream(successors, set(successors[x]))
 
 
 def is_acyclic(g: QBAG) -> bool:
@@ -482,18 +473,30 @@ def _ordered(args: Collection[str], adj: dict[str, list[str]]) -> list[str]:
         state[root] = GRAY
         while stack:
             node, children = stack[-1]
-            advanced = False
             for child in children:
                 if state[child] == GRAY:
                     raise CyclicGraph(f"cycle through argument {child!r}")
                 if state[child] == WHITE:
                     state[child] = GRAY
                     stack.append((child, iter(adj[child])))
-                    advanced = True
                     break
-            if not advanced:
+            else:  # every child is finished
                 state[node] = BLACK
                 finished.append(node)
                 stack.pop()
     finished.reverse()
     return finished
+
+
+def _downstream(successors: dict[str, list[str]], seeds: set[str]) -> set[str]:
+    """The seeds plus every argument they reach."""
+    if len(seeds) == len(successors):  # every indexed argument already
+        return seeds
+    cone = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for y in successors[stack.pop()]:
+            if y not in cone:
+                cone.add(y)
+                stack.append(y)
+    return cone

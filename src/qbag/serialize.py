@@ -244,9 +244,10 @@ def _document_steps(text: str) -> Iterator[tuple[list, list[Edge], list[Edge]]]:
         yield _payload_parts(payload, f"steps[{i}].")
 
 
-# The text around the values of a canonical chain document: the decoder
-# matches it, and the writer writes the envelope and step separators from it.
-_CHAIN_OPEN = '{\n  "format_version": "1",\n  "kind": "chain",\n  "steps": [\n'
+# The text around the values of a canonical document: the chain decoder
+# matches it, and the writer writes the envelopes and step separators from it.
+_QBAG_OPEN = f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "qbag",\n'
+_CHAIN_OPEN = f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "chain",\n  "steps": [\n'
 _STEP_BRACE = "    {\n"
 _STEP_OPEN = _STEP_BRACE + '      "arguments": '
 _ATTACKS_KEY = ',\n      "attacks": '
@@ -258,10 +259,10 @@ _CHAIN_CLOSE = "\n  ]\n}\n"
 
 def serialize_qbag(g: QBAG) -> str:
     """The qbag document: the extension of the empty graph by g."""
-    from ._chain_writer import _envelope, _payloads
+    from ._chain_writer import _payloads
 
     parts = next(_payloads((g,), "  ", "\n}\n"))
-    parts[0] = _envelope("qbag")
+    parts[0] = _QBAG_OPEN
     return "".join(parts)
 
 

@@ -4,10 +4,26 @@
 and ``sys.stderr`` replaced by UTF-8 streams, and returns a ``Result``.
 An uncaught exception gives exit code 1 and is kept in ``exception``, so a
 crash shows up as a failed exit-code assertion rather than escaping the test.
+``python(*args)`` is the command line of a child interpreter that runs
+under this one's flags.
 """
 
 import io
+import subprocess
 import sys
+
+
+def python(*args: str) -> list[str]:
+    """A python command line with this interpreter's -O, -B, -W and -X flags.
+
+    So a test run under ``-O`` or ``-X dev -X warn_default_encoding -W
+    error`` runs its child interpreters under them too.  The standard
+    library's list of flags leaves out ``-X warn_default_encoding``.
+    """
+    flags = subprocess._args_from_interpreter_flags()
+    if sys.flags.warn_default_encoding:
+        flags += ["-X", "warn_default_encoding"]
+    return [sys.executable, *flags, *args]
 
 
 class _Tee(io.BytesIO):

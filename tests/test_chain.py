@@ -32,7 +32,7 @@ from qbag import (
     serialize_chain,
     sweep_chain,
 )
-from qbag.chain import _acyclic_steps, _plans, _validated
+from qbag.chain import _plans, _validated
 from qbag.graph import _index, _ordered
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
@@ -445,7 +445,7 @@ class TestIncrementalStructure:
         text = serialize_chain(chain)
         parsed = parse_chain(text)
         assert parsed == parse_chain_oracle(text) == chain
-        verdicts = _acyclic_steps(parsed)
+        verdicts = _validated(parsed)[0]
         assert verdicts == [is_acyclic(g) for g in chain]
         first = next((i for i, ok in enumerate(verdicts, start=1) if not ok), None)
         if first is None:
@@ -457,6 +457,17 @@ class TestIncrementalStructure:
         with pytest.raises(CyclicGraph) as info:
             evaluate_chain(parsed)
         assert str(info.value) == f"step {first}: {full.value}"
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [evolving_chains(), closing_chains(), rewired_chains()],
+        ids=["evolving", "closing", "rewired"],
+    )
+    @given(data=st.data())
+    def test_each_verdict_is_the_full_check(self, strategy, data):
+        # a rewired step takes the loop's rebuilt-step branch: a fresh index, every argument changed
+        steps = data.draw(strategy).steps
+        assert _validated(iter(steps))[0] == [is_acyclic(g) for g in steps]
 
     @given(st.one_of(evolving_chains(), closing_chains(), weak_expansion_chains()))
     def test_extended_index_equals_a_fresh_one(self, chain):
@@ -470,7 +481,7 @@ class TestIncrementalStructure:
         loop = build_qbag(g.tau.items(), attacks=[("a", "b")], supports=[("b", "a")])
         grown = build_qbag([*g.tau.items(), ("c", 0.5)], attacks=[("a", "b"), ("c", "a")],
                            supports=[("b", "a")])
-        assert _acyclic_steps(build_chain([g, loop, grown, g])) == [True, False, False, True]
+        assert _validated(build_chain([g, loop, grown, g]))[0] == [True, False, False, True]
         with pytest.raises(CyclicGraph, match=r"^step 2: cycle through argument 'a'$"):
             evaluate_chain(build_chain([g, loop, grown]))
 
@@ -487,7 +498,7 @@ class TestIncrementalStructure:
     def test_new_self_loop_is_a_cycle(self):
         g = dialogue_step1()
         h = build_qbag(g.tau.items(), attacks=[("b", "b")], supports=g.supp)
-        assert _acyclic_steps(build_chain([g, h])) == [True, False]
+        assert _validated(build_chain([g, h]))[0] == [True, False]
         with pytest.raises(CyclicGraph, match=r"^step 2: cycle through argument 'b'$"):
             evaluate_chain(build_chain([g, h]))
 
@@ -570,4 +581,4 @@ class TestStreamedSteps:
         classes = (is_expansion_chain, is_normal_expansion_chain, is_weak_expansion_chain)
         kinds = [is_kind(chain) for is_kind in classes]
         assert kinds == [all(is_kind(build_chain(pair)) for pair in pairwise(chain)) for is_kind in classes]
-        assert _validated(iter(chain.steps)) == (_acyclic_steps(chain), kinds)
+        assert _validated(iter(chain.steps)) == ([is_acyclic(g) for g in chain], kinds)

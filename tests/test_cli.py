@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line interface."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -34,7 +35,7 @@ from qbag.cli import MAX_SWEEP_STEPS, main
 
 from .cases import dialogue, dialogue_step3, sweep_base
 from .oracles import canonical_json
-from .runner import CliRunner
+from .runner import CliRunner, python
 from .strategies import (
     chains,
     evolving_chains,
@@ -730,7 +731,7 @@ class TestFold:
             assert len(list(_chain_reader._canonical_steps((text,)))) == 300
         steps = _chain_reader._canonical_steps((OFF_LAYOUT_SWEEP,))
         next(steps), next(steps)
-        with pytest.raises((_chain_reader._OffLayout, ValueError)):  # the decode fails at step 3
+        with pytest.raises((_chain_reader._Reread, ValueError)):  # the decode fails at step 3
             next(steps)
 
     def test_a_read_error_after_an_evaluation_error_comes_first(self, runner, tmp_path, command):
@@ -904,8 +905,7 @@ class TestDeterminism:
             env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             runs.append(
                 subprocess.run(
-                    [sys.executable, "-m", "qbag.cli", "eval", str(path)],
-                    capture_output=True, env=env, check=False,
+                    python("-m", "qbag.cli", "eval", str(path)), capture_output=True, env=env, check=False
                 )
             )
         assert [run.returncode for run in runs] == [2, 2]
@@ -1252,13 +1252,42 @@ _PUBLIC_NAMES = """
 """
 
 
-def _run_module(code_or_args, env_extra=None):
+def _run_module(code_or_args, env_extra=None, stdout=subprocess.PIPE):
     """Run python with src on the path: ``-c code`` for a str, ``-m qbag.cli args`` for a list."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, **(env_extra or {})}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     command = ["-c", code_or_args] if isinstance(code_or_args, str) else ["-m", "qbag.cli", *code_or_args]
-    return subprocess.run([sys.executable, *command], capture_output=True, env=env, check=False)
+    return subprocess.run(python(*command), stdout=stdout, stderr=subprocess.PIPE, env=env, check=False)
+
+
+class TestClosedReader:
+    """A reader of stdout that goes away ends any call as a subcommand's output does.
+
+    Exit status 1 and nothing on stderr, for help as for a subcommand's output.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["-h"],
+            ["eval", "--help"],
+            ["sweep", "-h"],
+            ["eval", "{graph}"],
+            ["sweep", "{graph}", *_SWEEP, "--steps", "3"],
+            ["sweep", "{graph}", *_SWEEP, "--steps", "3", "--csv"],
+        ],
+        ids=["help", "h", "eval-help", "sweep-h", "eval", "sweep", "sweep-csv"],
+    )
+    def test_exit_one_with_nothing_on_stderr(self, sweep_path, argv):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            run = _run_module([arg.format(graph=sweep_path) for arg in argv], stdout=write)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (1, b"")
 
 
 class TestStartup:
@@ -1369,3 +1398,14 @@ class TestStartup:
         run = _run_module(["eval", path, "--semantics", "ä"], env)
         assert run.returncode == 2
         assert run.stderr.decode("utf-8").startswith("UnknownSemantics: unknown semantics 'ä'")
+
+
+class TestSourceRules:
+    def test_no_module_has_an_assert_statement(self):
+        # python -O strips asserts, so an invariant is an explicit check
+        found = []
+        for path in sorted(Path(qbag.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            asserts = [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            found += [f"{path.name}:{node.lineno}" for node in asserts]
+        assert found == []

@@ -2,10 +2,11 @@
 
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from .runner import python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,9 +20,6 @@ def test_demos_exist():
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # under python -O the demos run with -O too
-    flags = ["-O"] * sys.flags.optimize
-    run = subprocess.run(
-        [sys.executable, *flags, str(demo)], capture_output=True, env=env, cwd=ROOT, check=False
-    )
+    # the demos run under this interpreter's flags, -O and -X dev included
+    run = subprocess.run(python(str(demo)), capture_output=True, env=env, cwd=ROOT, check=False)
     assert run.returncode == 0, run.stderr.decode(errors="replace")

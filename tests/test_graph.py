@@ -51,6 +51,7 @@ from qbag.graph import _EMPTY, _build_each, _extend_index, _extend_qbag, _index,
 
 from .cases import dialogue, dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
 from .oracles import oracle_index
+from .runner import python
 from .strategies import acyclic_qbags, arbitrary_qbags, exotic_qbags, signed_strengths
 
 
@@ -254,6 +255,35 @@ class TestBuildAtOnce:
             build_qbag([("", 0.5), ("b", 10**400)])
 
 
+# beyond the float range, so float() raises OverflowError; repr(10**5000)
+# raises ValueError past the interpreter's digit limit
+OVERFLOWING = [10**400, -(10**400), 10**5000, Fraction(10**400)]
+OVERFLOW_IDS = ["1e400", "-1e400", "1e5000", "Fraction-1e400"]
+
+
+class TestOverflowingStrength:
+    """A number beyond the float range is a StrengthOutOfRange wherever a strength is taken."""
+
+    @pytest.mark.parametrize("value", OVERFLOWING, ids=OVERFLOW_IDS)
+    @pytest.mark.parametrize("shape", [list, iter], ids=["list", "iterator"])
+    def test_build_qbag(self, value, shape):
+        message = r"^initial strength of 'a': beyond the float range, outside \[0, 1\]$"
+        with pytest.raises(StrengthOutOfRange, match=message):
+            build_qbag(shape([("a", value)]))
+
+    @pytest.mark.parametrize("value", OVERFLOWING, ids=OVERFLOW_IDS)
+    def test_sweep_chain(self, value):
+        message = r"^sweep value for 'a': beyond the float range, outside \[0, 1\]$"
+        with pytest.raises(StrengthOutOfRange, match=message):
+            sweep_chain(dialogue_step1(), "a", [0.5, value])
+
+    @pytest.mark.parametrize("value", OVERFLOWING, ids=OVERFLOW_IDS)
+    def test_query_threshold(self, value):
+        message = r"^threshold: beyond the float range, outside \[0, 1\]$"
+        with pytest.raises(StrengthOutOfRange, match=message):
+            SLFQuery(topics=frozenset({"a"}), threshold=value)
+
+
 # what a step may break: ids, uniqueness, endpoints, disjointness; the
 # reader has checked that every strength is an int or float in [0, 1] and
 # that every pair is two strings
@@ -408,7 +438,13 @@ class TestReaches:
         with pytest.raises(UnknownArgument):
             reaches(dialogue_step1(), "a", "z")
 
-    @given(arbitrary_qbags())
+    def test_an_argument_whose_successors_are_every_argument(self):
+        # a's successors are the whole graph, so the walk has nothing to add
+        g = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "a")], supports=[("a", "b")])
+        assert reaches(g, "a", "a") and reaches(g, "a", "b")
+        assert not reaches(g, "b", "a") and not reaches(g, "b", "b")
+
+    @given(st.one_of(arbitrary_qbags(), exotic_qbags()))
     def test_matches_transitive_closure_oracle(self, g):
         names = sorted(g.args)
         index = {x: i for i, x in enumerate(names)}
@@ -514,7 +550,7 @@ class TestRestrict:
         src = str(Path(qbag.graph.__file__).parents[1])
         for seed in ("1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+            run = subprocess.run(python("-c", code), env=env, capture_output=True)
             assert run.stdout == b"['h', 'b', 'c', 'f', 'a']\n"
             assert run.stderr.endswith(b"UnknownArgument: argument 'z' not in graph\n")
 
