@@ -2,33 +2,29 @@
 
 The envelope and key lines are matched as text, and each block is walked
 against the same block of the previous step, as the comment above
-``_Blocks`` says.  ``qbag.serialize.parse_chain`` uses it on a whole
-text, and ``_file_graphs`` on a file read in chunks, for the command
-line; any document it cannot read goes to ``json.loads`` of the whole
-text, which decides.  Only the calls that read a chain import this module.
+``_Blocks`` says.  ``_fold`` runs a fold over the steps it decodes, from a
+whole text for ``qbag.serialize.parse_chain`` and from a file read in
+chunks for the command line; any document it cannot read goes to
+``json.loads`` of the whole text, which decides.  Only the calls that
+read a chain import this module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .serialize import (
-    _ATTACKS_KEY,
     _CHAIN_CLOSE,
     _CHAIN_OPEN,
     _STEP_BRACE,
     _STEP_CLOSE,
-    _STEP_OPEN,
     _STEP_SEPARATOR,
-    _SUPPORTS_KEY,
     _arguments,
+    _document_steps,
     _graphs,
     _parse_edges,
 )
-
-if TYPE_CHECKING:
-    from .graph import QBAG
 
 _decode = json.JSONDecoder().raw_decode
 # characters per read of a chain file, which is decoded a window of whole steps at a time
@@ -203,6 +199,10 @@ class _Blocks:
 # The text between two steps, and only there in a canonical document: a
 # JSON string holds no raw newline, and a block's lines are indented further.
 _STEP_BOUNDARY = _STEP_CLOSE + _STEP_SEPARATOR + _STEP_BRACE
+# the key lines of a step, which the decoder matches as text
+_STEP_OPEN = _STEP_BRACE + '      "arguments": '
+_ATTACKS_KEY = ',\n      "attacks": '
+_SUPPORTS_KEY = ',\n      "supports": '
 
 
 def _windows(chunks: Iterable[str]) -> Iterator[tuple[str, int | None]]:
@@ -257,16 +257,25 @@ def _canonical_steps(chunks: Iterable[str]) -> Iterator[tuple[list, list, list]]
         raise _Reread(pos)
 
 
-def _file_graphs(path: str) -> Iterator[QBAG]:
-    """The built steps of the chain file at path, read _READ_CHUNK characters at a time.
+def _fold(fold: Callable, chunks: Iterable[str], text: Callable[[], str]):
+    """fold of the built steps of a chain document, which it consumes one at a time.
 
-    Holds one window of text and one step.  Any failure of the read, the
-    decode or the step builder is raised as _Reread, after the steps
-    before it have been yielded; the general path then gives the values
-    or the error.
+    The steps are decoded from chunks, the document's text in pieces of
+    any size, and built as they come, so fold holds one window of text
+    and one step.  At any failure of the read, the decode or the step
+    builder, after the steps before it, fold runs again over the steps
+    that json.loads of text() gives, which give the values or the error.
+    An error fold raises itself is raised as it is.
     """
+
+    def streamed():
+        try:
+            yield from _graphs(_canonical_steps(chunks))
+        except Exception:  # off the layout, invalid or unreadable
+            raise _Reread from None
+
     try:
-        with open(path, encoding="utf-8") as file:
-            yield from _graphs(_canonical_steps(iter(lambda: file.read(_READ_CHUNK), "")))
-    except Exception:  # off the layout, invalid or unreadable
-        raise _Reread from None
+        return fold(streamed())
+    except _Reread:  # the general path decides
+        pass
+    return fold(_graphs(_document_steps(text())))

@@ -15,7 +15,7 @@ from itertools import compress
 from operator import is_not
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .graph import _EMPTY, QBAG, Edge, _added
+from .graph import _EMPTY, QBAG, Edge, _extension
 from .serialize import _CHAIN_CLOSE, _CHAIN_OPEN, _STEP_BRACE, _STEP_CLOSE, _STEP_SEPARATOR
 
 if TYPE_CHECKING:
@@ -63,8 +63,8 @@ def _payloads(graphs: Iterable[QBAG], pad: str, end: str) -> Iterator[list[str]]
     Part 0 is left for the caller.  Then come the key, "[\n", three parts
     per argument in id order (the text before its strength, the strength,
     the text after it), a key and a block per relation, and end.  Each
-    graph extends the last one or, if it drops anything, the empty graph,
-    as in ``chain._plans``: only what ``graph._added`` gives is rendered,
+    graph extends the base ``graph._extension`` gives, the last graph or
+    the empty one, as in ``chain._plans``: only what it adds is rendered,
     and a kept strength only when it is not the same object as the last
     graph's.  The same object renders the same text, while == would mix
     up 0.0 and -0.0, or 1 and 1.0.
@@ -92,15 +92,13 @@ def _payloads(graphs: Iterable[QBAG], pad: str, end: str) -> Iterator[list[str]]
         edges, texts = _merged(old[0], old[1], new, pairs)
         return edges, texts, "[\n" + ",\n".join(texts) + f"\n{pad}]"
 
-    last = None
+    last = _EMPTY
     for g in graphs:
         tau = g.tau
-        added = None if last is None else _added(last, g.args, g.att, g.supp)
-        if added is None:  # the first graph, or one that drops something
-            last, order, ids, args = _EMPTY, None, [], []
+        last, (new_args, new_att, new_supp) = _extension(last, g.args, g.att, g.supp)
+        if last is _EMPTY:  # the first graph, or one that drops something: start over
+            order, ids, args = None, [], []
             attacks = supports = [], [], "[]"
-            added = g.args, g.att, g.supp
-        new_args, new_att, new_supp = added
         if new_args:
             ids, args = _merged(ids, args, new_args, arguments)
         if new_att:

@@ -19,9 +19,9 @@ from .graph import (
     QBAG,
     Edge,
     _EMPTY,
-    _added,
     _downstream,
     _extend_index,
+    _extension,
     _Index,
     _index,
     _ordered,
@@ -126,8 +126,8 @@ def _growth(c: Chain) -> list[tuple[frozenset[str], frozenset[Edge]]] | None:
     """
     growth = []
     for g, h in pairwise(c.steps):
-        added = _added(g, h.args, h.att, h.supp)
-        if added is None or not any(added) or not g.tau.items() <= h.tau.items():
+        base, added = _extension(g, h.args, h.att, h.supp)
+        if base is not g or not any(added) or not g.tau.items() <= h.tau.items():
             return None
         growth.append((g.args, added[1] | added[2]))
     return growth
@@ -163,21 +163,21 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
 def _plans(steps: Iterable[QBAG]) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]]]:
     """Each step with the step it extends, its index, and the arguments it changed.
 
-    Every step extends a graph it contains.  A step that keeps every
-    argument and edge of the previous one extends the previous step, and
-    the index is extended in place.  Any other step, the first included,
-    extends the empty graph ``_EMPTY`` from a fresh index.  The changed
-    arguments are those whose in-edges changed: all of a rebuilt step's,
-    none of a step that shares its predecessor's structure.
+    Every step extends the graph :func:`graph._extension` gives: the
+    previous step when it keeps every argument and edge of it, whose index
+    is then extended in place, and otherwise the empty graph ``_EMPTY``,
+    from a fresh index.  The changed arguments are those whose in-edges
+    changed: all of a rebuilt step's, none of a step that shares its
+    predecessor's structure.
     """
     prev = _EMPTY
     for g in steps:
-        added = None if prev is _EMPTY else _added(prev, g.args, g.att, g.supp)
-        if added is None:
-            prev, index, changed = _EMPTY, _index(g), set(g.args)
+        base, added = _extension(prev, g.args, g.att, g.supp)
+        if base is _EMPTY:  # one sort per list beats an insort per edge
+            index, changed = _index(g), set(g.args)
         else:
             changed = _extend_index(index, *added)
-        yield g, prev, index, changed
+        yield g, base, index, changed
         prev = g
 
 

@@ -41,18 +41,18 @@ MAX_SWEEP_STEPS = 1_000_000
 def _emit(texts: Iterable[str], err: bool = False) -> None:
     """Write each text to stdout or stderr as it comes, then flush.
 
-    A stream whose encoding is ASCII is taken to be misconfigured: the
-    texts go to its byte buffer in UTF-8 instead, so ids outside ASCII
-    print the same bytes whatever the locale says.  Every write of the
-    command line comes here, help and usage included, so a stream whose
-    reader went away ends any call the same way: exit 1, no traceback.
+    Output is UTF-8: on a stream whose encoding is another one, the texts
+    go to its byte buffer in UTF-8, so ids outside ASCII print the same
+    bytes whatever the locale says.  Every write of the command line
+    comes here, help and usage included, so a stream whose reader went
+    away ends any call the same way: exit 1, no traceback.
     """
     stream = sys.stderr if err else sys.stdout
     if stream is None:  # the process started with that descriptor closed
         return
     try:
         buffer = getattr(stream, "buffer", None)
-        if buffer is not None and codecs.lookup(stream.encoding or "ascii").name == "ascii":
+        if buffer is not None and codecs.lookup(stream.encoding or "ascii").name != "utf-8":
             stream.flush()
             stream, texts = buffer, (text.encode("utf-8", "replace") for text in texts)
         stream.writelines(texts)
@@ -89,19 +89,19 @@ def _read_text(path: str) -> str:
 def _fold(chain_path: str, fold: Callable):
     """fold of the chain document's built steps, which it consumes one at a time.
 
-    The file is read in chunks and decoded a step at a time.  At any
+    A file is read in chunks and decoded a step at a time, and at any
     doubt the whole fold runs again over the general path, which gives
-    every error; a pipe, which cannot be read twice, goes to it at once.
+    every error, as ``_chain_reader._fold`` says.
     """
-    from ._chain_reader import _file_graphs, _Reread
-    from .serialize import _document_steps, _graphs
+    from . import _chain_reader
 
-    if os.path.isfile(chain_path):
-        try:
-            return fold(_file_graphs(chain_path))
-        except _Reread:
-            pass
-    return fold(_graphs(_document_steps(_read_text(chain_path))))
+    def chunks():
+        with open(chain_path, encoding="utf-8") as file:
+            yield from iter(lambda: file.read(_chain_reader._READ_CHUNK), "")
+
+    # a pipe, which cannot be read twice, gives no chunks: the general path reads it at once
+    given = chunks() if os.path.isfile(chain_path) else ()
+    return _chain_reader._fold(fold, given, lambda: _read_text(chain_path))
 
 
 def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
@@ -125,18 +125,19 @@ def _query(chain_path: str, topics: str, threshold: float, semantics_name: str):
 
 
 def _grid(start: float, stop: float, steps: int) -> list[float]:
-    """Evenly spaced values from start to stop, both ends exact.
+    """Evenly spaced values from start to stop, which are the ends themselves.
 
-    Point i is start + i * (stop - start) / (steps - 1) in exact rationals
-    from the float endpoints, rounded once, so no point drifts by
-    accumulated rounding.  With start = a/b and stop = c/d that is one
-    correctly rounded int division, as float() of the Fraction would do.
+    So an end of -0.0 keeps its sign.  Point i is start + i * (stop -
+    start) / (steps - 1) in exact rationals from the float endpoints,
+    rounded once, so no point drifts by accumulated rounding.  With start
+    = a/b and stop = c/d that is one correctly rounded int division, as
+    float() of the Fraction would do.
     """
     if steps == 1:
         return [start]
     (a, b), (c, d), n = start.as_integer_ratio(), stop.as_integer_ratio(), steps - 1
     base, step, scale = a * d * n, c * b - a * d, b * d * n
-    return [(base + i * step) / scale for i in range(steps)]
+    return [start, *[(base + i * step) / scale for i in range(1, n)], stop]
 
 
 def _yesno(flag: bool) -> str:

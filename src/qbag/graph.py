@@ -272,9 +272,9 @@ def _extend_qbag(
 ) -> QBAG | None:
     """``build_qbag(zip(ids, values), attacks, supports)``, or None where that raises.
 
-    The step extends prev if it contains prev, and ``_EMPTY`` otherwise,
-    as ``chain._plans`` has it.  Only what it adds is checked, and an id
-    only where prev lacks it, all in one pass: prev passed every rule.  An
+    The step extends the base :func:`_extension` gives, prev or
+    ``_EMPTY``.  Only what it adds to that base is checked, and an id only
+    where prev lacks it, all in one pass: prev passed every rule.  An
     extension keeps prev's pair tuples.  The values must be ints or floats
     in [0, 1] and the pairs tuples of strings.  ``_build_each`` words the
     error of a step this returns None for.
@@ -287,12 +287,11 @@ def _extend_qbag(
         return None
     args = frozenset(tau)  # sized once from a dict: half the table of frozenset(ids)
     att, supp = frozenset(attacks), frozenset(supports)
-    added = _added(prev, args, att, supp)
-    if added is None:  # every pair is new; an id prev has passed the id rule
-        added = args - prev.args, att, supp
-    elif prev.args:  # keep prev's pair tuples
-        att, supp = prev.att | added[1], prev.supp | added[2]
-    new_args, new_att, new_supp = added
+    base, (new_args, new_att, new_supp) = _extension(prev, args, att, supp)
+    if base is not prev:  # every pair is new; an id prev has passed the id rule
+        new_args = args - prev.args
+    elif base.args:  # keep prev's pair tuples
+        att, supp = base.att | new_att, base.supp | new_supp
     if not (
         _valid_ids(new_args)
         and args.issuperset(chain.from_iterable(new_att))
@@ -307,34 +306,36 @@ def _extend_qbag(
 _NOTHING = frozenset(), frozenset(), frozenset()  # what a step that shares prev's sets adds
 
 
-def _added(
+def _extension(
     prev: QBAG, args: frozenset[str], att: frozenset[Edge], supp: frozenset[Edge]
-) -> tuple[frozenset[str], frozenset[Edge], frozenset[Edge]] | None:
-    """The arguments, attacks and supports a step adds to prev.
+) -> tuple[QBAG, tuple[frozenset[str], frozenset[Edge], frozenset[Edge]]]:
+    """The graph a step extends, and the arguments, attacks and supports it adds to it.
 
-    None when the step drops an argument or an edge of prev's.  This is
-    the one place that compares a step's structure with its predecessor's.
-    A step that shares prev's sets adds nothing, and to ``_EMPTY`` a step
-    adds its sets themselves.  A rewired step seldom
-    keeps an arbitrary edge of prev's, so one probe per relation rejects
-    most of them before any difference is taken; otherwise the sizes of
-    the differences decide containment, in one pass over each set.
+    A step extends prev when it keeps every argument and edge of prev's,
+    and the empty graph ``_EMPTY`` otherwise, to which it adds its own
+    sets.  This is the one place that compares a step's structure with
+    its predecessor's.  A step that shares prev's sets adds nothing.  A
+    rewired step seldom keeps an arbitrary edge of prev's, so one probe
+    per relation rejects most of them before any difference is taken;
+    otherwise the sizes of the differences decide containment, in one
+    pass over each set.
     """
     if args is prev.args and att is prev.att and supp is prev.supp:
-        return _NOTHING
+        return prev, _NOTHING
+    own = _EMPTY, (args, att, supp)
     if prev is _EMPTY:
-        return args, att, supp
+        return own
     for old, given in ((prev.att, att), (prev.supp, supp)):
         if old and next(iter(old)) not in given:
-            return None
+            return own
     new_args, new_att, new_supp = args - prev.args, att - prev.att, supp - prev.supp
     if (
         len(args) - len(new_args) != len(prev.args)
         or len(att) - len(new_att) != len(prev.att)
         or len(supp) - len(new_supp) != len(prev.supp)
     ):
-        return None
-    return new_args, new_att, new_supp
+        return own
+    return prev, (new_args, new_att, new_supp)
 
 
 def _require_argument(g: QBAG, x: str) -> None:
@@ -384,7 +385,7 @@ def _index(g: QBAG) -> _Index:
 def _extend_index(
     index: _Index, new_args: Iterable[str], new_att: Iterable[Edge], new_supp: Iterable[Edge]
 ) -> set[str]:
-    """Add arguments and edges, as :func:`_added` gives them, to an index in place.
+    """Add arguments and edges, as :func:`_extension` gives them, to an index in place.
 
     New arguments get empty lists, and ``bisect.insort`` puts each new
     edge into the sorted lists.  Returns the arguments whose in-edges

@@ -34,7 +34,7 @@ step at a time, and a step as the same extension: only what it adds,
 and the strengths that changed, are rendered.
 
 This module holds the document checks, the entry checkers, the step
-builder and the layout's text.  The canonical decoder is
+builder and the layout text both sides use.  The canonical decoder is
 ``qbag._chain_reader`` and the writer ``qbag._chain_writer``; each is
 imported by the first call that reads or writes a chain, so a call that
 does neither compiles neither.  The CSV tables and the report mapping
@@ -195,13 +195,6 @@ def _graphs(steps: Iterable[tuple[list, list[Edge], list[Edge]]]) -> Iterator[QB
         yield step.graph
 
 
-def _parse_steps(steps: Iterable[tuple[list, list[Edge], list[Edge]]]) -> Chain:
-    """The chain of each step's checked parts."""
-    from .chain import build_chain
-
-    return build_chain(list(_graphs(steps)))
-
-
 def parse_qbag(text: str) -> QBAG:
     """Parse and validate a qbag document."""
     data = _load_document(text, "qbag")
@@ -221,13 +214,10 @@ def parse_chain(text: str) -> Chain:
     an error, is parsed whole by ``json.loads``, which gives the same
     value or the first error in the documented precedence.
     """
-    from ._chain_reader import _canonical_steps
+    from ._chain_reader import _fold
+    from .chain import build_chain
 
-    try:
-        return _parse_steps(_canonical_steps((text,)))
-    except Exception:  # off the layout or invalid: the general path decides
-        pass
-    return _parse_steps(_document_steps(text))
+    return _fold(build_chain, (text,), lambda: text)
 
 
 def _document_steps(text: str) -> Iterator[tuple[list, list[Edge], list[Edge]]]:
@@ -244,14 +234,12 @@ def _document_steps(text: str) -> Iterator[tuple[list, list[Edge], list[Edge]]]:
         yield _payload_parts(payload, f"steps[{i}].")
 
 
-# The text around the values of a canonical document: the chain decoder
-# matches it, and the writer writes the envelopes and step separators from it.
+# The text around the values of a canonical document that the writer writes
+# and the chain decoder matches; the key lines only the decoder matches are
+# in qbag._chain_reader.
 _QBAG_OPEN = f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "qbag",\n'
 _CHAIN_OPEN = f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "chain",\n  "steps": [\n'
 _STEP_BRACE = "    {\n"
-_STEP_OPEN = _STEP_BRACE + '      "arguments": '
-_ATTACKS_KEY = ',\n      "attacks": '
-_SUPPORTS_KEY = ',\n      "supports": '
 _STEP_CLOSE = "\n    }"
 _STEP_SEPARATOR = ",\n"
 _CHAIN_CLOSE = "\n  ]\n}\n"

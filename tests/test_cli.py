@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -172,6 +173,24 @@ class TestValidate:
         assert message in result.stderr
         assert len(result.stderr.splitlines()) == 1
 
+    def test_a_number_id_in_the_layout_is_decoded_once_then_worded_whole(
+        self, runner, tmp_path, monkeypatch
+    ):
+        text = LONG_SWEEP.replace('"id": "c"', '"id": 5', 1)
+        expected = _whole_path_error(text)
+        assert expected.startswith("InvalidArgumentId: steps[0]: ")
+        calls = []
+        original = _chain_reader._canonical_steps
+
+        def counting(chunks):
+            calls.append(chunks)
+            return original(chunks)
+
+        monkeypatch.setattr(_chain_reader, "_canonical_steps", counting)
+        result = runner.invoke(main, ["validate", str(_chain_file(tmp_path, text))])
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", expected)
+        assert len(calls) == 1
+
 
 class TestEval:
     def test_final_graph_strengths(self, runner, qbag_path):
@@ -328,6 +347,12 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert "gini_score,0.46212" in result.output
         assert "strongly_safe,no" in result.output
+
+    @pytest.mark.parametrize("topics", [",", ""], ids=["comma", "empty"])
+    @pytest.mark.parametrize("command", ["analyze", "curve"])
+    def test_no_topics_on_a_valid_chain(self, runner, chain_path, command, topics):
+        result = runner.invoke(main, [command, chain_path, "--topics", topics, "--threshold", "0.1"])
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", "no topics given\n")
 
 
 class TestSweep:
@@ -520,6 +545,19 @@ class TestGrid:
     def test_matches_the_fraction_formula(self, start, stop, steps):
         assert _bits(cli._grid(start, stop, steps)) == _bits(_fraction_grid(start, stop, steps))
 
+    @pytest.mark.parametrize(("start", "stop"), [(-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (0.0, -0.0)])
+    def test_the_ends_are_the_endpoints_with_their_sign(self, start, stop):
+        for steps in (2, 3, 7):
+            grid = cli._grid(start, stop, steps)
+            assert _bits([grid[0], grid[-1]]) == _bits([start, stop])
+
+    def test_a_sweep_keeps_the_sign_of_a_zero_end(self, runner, sweep_path):
+        for ends, expected in [(["-0.0", "1"], [-0.0, 0.5, 1.0]), (["1", "-0.0"], [1.0, 0.5, -0.0])]:
+            args = ["--argument", "f", "--from", ends[0], "--to", ends[1], "--steps", "3"]
+            result = runner.invoke(main, ["sweep", sweep_path, *args])
+            assert result.exit_code == 0, result.stderr
+            assert _bits([g.tau["f"] for g in parse_chain(result.stdout)]) == _bits(expected)
+
     def test_largest_grid_ends_on_its_last_point(self):
         start, stop, n = 0.1, 0.7, MAX_SWEEP_STEPS - 1
         grid = cli._grid(start, stop, MAX_SWEEP_STEPS)
@@ -567,7 +605,7 @@ class TestChainReader:
         monkeypatch.setattr(cli, "_read_text", whole)
         result = runner.invoke(main, ["validate", str(path)])
         assert (result.exit_code, result.stdout_bytes) == (0, expected.stdout_bytes)
-        assert list(_chain_reader._file_graphs(str(path))) == list(parse_chain(LONG_SWEEP))
+        assert cli._fold(str(path), list) == list(parse_chain(LONG_SWEEP))
 
     def test_invalid_utf8_after_a_document_error_cannot_be_read(self, runner, tmp_path):
         # steps[1] has a dangling pair; the bad byte lies in the last 64 KiB read
@@ -1290,6 +1328,76 @@ class TestClosedReader:
         assert (run.returncode, run.stderr) == (1, b"")
 
 
+class TestStreams:
+    """Output is UTF-8 whatever codec the streams have, and a closed stream is skipped."""
+
+    @pytest.mark.parametrize("codec", ["latin-1", "cp1252"])
+    def test_a_codec_other_than_utf8_gets_the_utf8_bytes(self, tmp_path, sweep_path, codec):
+        g = build_qbag([("α", 0.5), ("b", 0.25)], attacks=[("b", "α")])
+        graph = tmp_path / "graph.json"
+        graph.write_text(serialize_qbag(g), encoding="utf-8")
+        chain = _chain_file(tmp_path, serialize_chain(sweep_chain(g, "b", [0.0, 1.0])))
+        calls = [
+            ["eval", str(graph)],
+            ["analyze", str(chain), "--topics", "α,b", "--threshold", "0.3"],
+            ["sweep", str(graph), "--argument", "b", "--from", "0", "--to", "1", "--steps", "3", "--csv"],
+            ["sweep", sweep_path, "--argument", "α", "--from", "0", "--to", "1", "--steps", "3"],
+        ]
+        for argv in calls:
+            expected = _run_module(argv, {"PYTHONIOENCODING": "utf-8"})
+            assert "α".encode() in expected.stdout + expected.stderr
+            run = _run_module(argv, {"PYTHONIOENCODING": codec})
+            assert (run.returncode, run.stdout, run.stderr) == (
+                expected.returncode,
+                expected.stdout,
+                expected.stderr,
+            )
+        assert expected.returncode == 2
+        assert expected.stderr.decode().startswith("UnknownArgument: argument 'α' not in graph")
+
+    def test_a_closed_stdout_is_skipped(self, monkeypatch, qbag_path):
+        # sys.stdout is None in a process started with descriptor 1 closed
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(SystemExit) as exit:
+            main(["eval", qbag_path])
+        assert (exit.value.code, err.getvalue()) == (0, "")
+
+
+# each call's argv, and the modules it loads besides those every call loads
+_CALLS = {
+    "eval": (["eval", "{graph}"], []),
+    "sweep-out": (["sweep", "{graph}", *_SWEEP, "--steps", "3", "--out", "{out}"], ["chain", "_chain_writer"]),
+    "sweep-csv": (["sweep", "{graph}", *_SWEEP, "--steps", "3", "--csv"], ["chain", "export"]),
+    "validate": (["validate", "{chain}"], ["chain", "_chain_reader"]),
+    "analyze": (["analyze", "{chain}", *_QUERY], ["chain", "_chain_reader", "analysis", "export", "fractions"]),
+    "curve": (["curve", "{chain}", *_QUERY], ["chain", "_chain_reader", "analysis", "export", "fractions"]),
+}
+_EVERY_CALL = ["qbag", "qbag.cli", "qbag.errors", "qbag.graph", "qbag.semantics", "qbag.serialize"]
+# the tokens of qbag code each call compiles, at most: the modules it loads, summed
+_TOKEN_CEILINGS = {
+    "eval": 8795,
+    "sweep-out": 11426,
+    "sweep-csv": 10899,
+    "validate": 12251,
+    "analyze": 14336,
+    "curve": 14336,
+}
+
+
+def _token_counts():
+    """The tokens of each qbag module by name, comment, blank-line and encoding tokens excluded."""
+    counts = {}
+    for path in sorted(Path(qbag.__file__).parent.glob("*.py")):
+        with open(path, encoding="utf-8") as file:
+            tokens = tokenize.generate_tokens(file.readline)
+            skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+            name = "qbag" if path.stem == "__init__" else f"qbag.{path.stem}"
+            counts[name] = sum(token.type not in skipped for token in tokens)
+    return counts
+
+
 class TestStartup:
     def test_import_loads_neither_click_nor_dataclasses(self):
         # modules the interpreter loaded before the import do not count
@@ -1300,21 +1408,7 @@ class TestStartup:
         assert run.returncode == 0, run.stderr
         assert run.stdout == b"[]\n"
 
-    @pytest.mark.parametrize(
-        ("argv", "loaded"),
-        [
-            (["eval", "{graph}"], []),
-            (["sweep", "{graph}", *_SWEEP, "--steps", "3", "--out", "{out}"], ["chain", "_chain_writer"]),
-            (["sweep", "{graph}", *_SWEEP, "--steps", "3", "--csv"], ["chain", "export"]),
-            (["validate", "{chain}"], ["chain", "_chain_reader"]),
-            (
-                ["analyze", "{chain}", *_QUERY],
-                ["chain", "_chain_reader", "analysis", "export", "fractions"],
-            ),
-            (["curve", "{chain}", *_QUERY], ["chain", "_chain_reader", "analysis", "export", "fractions"]),
-        ],
-        ids=["eval", "sweep-out", "sweep-csv", "validate", "analyze", "curve"],
-    )
+    @pytest.mark.parametrize(("argv", "loaded"), _CALLS.values(), ids=_CALLS.keys())
     def test_a_call_loads_only_what_it_runs(self, tmp_path, sweep_path, chain_path, argv, loaded):
         # qbag's modules and fractions after a successful call, in a fresh interpreter
         paths = {"graph": sweep_path, "chain": chain_path, "out": str(tmp_path / "out.json")}
@@ -1328,9 +1422,16 @@ class TestStartup:
             "    modules = {m for m in sys.modules if m.startswith('qbag') or m == 'fractions'}\n"
             "    print(exc.code, sorted(modules), file=sys.stderr)\n"
         )
-        base = ["qbag", "qbag.cli", "qbag.errors", "qbag.graph", "qbag.semantics", "qbag.serialize"]
-        expected = sorted(base + [m if m == "fractions" else f"qbag.{m}" for m in loaded])
+        expected = sorted(_EVERY_CALL + [m if m == "fractions" else f"qbag.{m}" for m in loaded])
         assert run.stderr.decode() == f"0 {expected}\n"
+
+    def test_a_call_compiles_at_most_its_tokens(self):
+        counts = _token_counts()
+        totals = {}
+        for call, (_, loaded) in _CALLS.items():
+            modules = _EVERY_CALL + [f"qbag.{m}" for m in loaded if m != "fractions"]
+            totals[call] = sum(counts[module] for module in modules)
+        assert {call: n for call, n in totals.items() if n > _TOKEN_CEILINGS[call]} == {}
 
     def test_star_import_gives_the_public_names(self):
         run = _run_module(
@@ -1381,12 +1482,7 @@ class TestStartup:
     def test_every_module_stays_below_the_token_step(self):
         # CPython 3.11's parser grows its token array by doubling: a module
         # of 4096 tokens or more compiles with a step higher peak
-        counts = {}
-        for path in sorted(Path(qbag.__file__).parent.glob("*.py")):
-            with open(path, encoding="utf-8") as file:
-                tokens = tokenize.generate_tokens(file.readline)
-                skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-                counts[path.name] = sum(token.type not in skipped for token in tokens)
+        counts = _token_counts()
         assert len(counts) >= 9
         assert {name: n for name, n in counts.items() if n >= 4096} == {}
 

@@ -39,7 +39,7 @@ from qbag import (
 
 from qbag import _chain_reader, _chain_writer, export, serialize
 from qbag._chain_reader import _STEP_BOUNDARY, _canonical_steps
-from qbag.serialize import _CHAIN_CLOSE, _parse_steps
+from qbag.serialize import _CHAIN_CLOSE, _graphs
 
 from .cases import dialogue, dialogue_step1, dialogue_step3, sweep_base, sweep_dialogue
 from .oracles import canonical_json, chain_document, parse_chain_oracle, qbag_document
@@ -785,8 +785,8 @@ class TestChunkedDecoder:
         positions = st.integers(0, len(text)) | st.sampled_from(_awkward_cuts(text))
         cuts = data.draw(st.lists(positions, max_size=12))
         expected = _shape(parse_chain(text))
-        assert _shape(_parse_steps(_canonical_steps(_chunked(text, cuts)))) == expected
-        assert _shape(_parse_steps(_canonical_steps(list(text)))) == expected  # one character at a time
+        assert _shape(build_chain(_graphs(_canonical_steps(_chunked(text, cuts))))) == expected
+        assert _shape(build_chain(_graphs(_canonical_steps(list(text))))) == expected  # one character at a time
 
     @pytest.mark.parametrize(
         "text", [DIALOGUE, _sweep_text("f"), FRONT_EXTENSION], ids=["dialogue", "sweep", "extension"]
@@ -794,7 +794,7 @@ class TestChunkedDecoder:
     def test_every_cut_inside_a_boundary_or_the_close(self, text):
         expected = _shape(parse_chain(text))
         for cut in _awkward_cuts(text):
-            assert _shape(_parse_steps(_canonical_steps(_chunked(text, [cut])))) == expected
+            assert _shape(build_chain(_graphs(_canonical_steps(_chunked(text, [cut]))))) == expected
 
     @given(
         mutated_documents(
@@ -806,7 +806,7 @@ class TestChunkedDecoder:
     def test_a_chunked_decode_that_succeeds_agrees_with_parse_chain(self, text, data):
         cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
         try:
-            found = _parse_steps(_canonical_steps(_chunked(text, cuts)))
+            found = build_chain(_graphs(_canonical_steps(_chunked(text, cuts))))
         except Exception:
             return  # parse_chain's general path decides
         assert _shape(found) == _shape(parse_chain(text))
@@ -815,7 +815,7 @@ class TestChunkedDecoder:
     def test_off_layout_documents_fail_in_any_chunking(self, text):
         for chunks in ([text], list(text), _chunked(text, _awkward_cuts(text))):
             with pytest.raises(Exception):
-                _parse_steps(_canonical_steps(chunks))
+                build_chain(_graphs(_canonical_steps(chunks)))
 
     def test_chunks_cost_what_one_text_costs(self):
         # one step of 4 MB in 1 KiB chunks: searching the whole window for a
@@ -829,7 +829,7 @@ class TestChunkedDecoder:
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                _parse_steps(_canonical_steps(chunks))
+                build_chain(_graphs(_canonical_steps(chunks)))
                 times.append(time.perf_counter() - start)
             return min(times)
 
