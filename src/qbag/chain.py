@@ -14,18 +14,19 @@ from itertools import pairwise
 from math import copysign
 from typing import Iterable, Iterator
 
-from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain, UnknownArgument
+from .errors import CyclicGraph, EmptyChain, StrengthOutOfRange, TopicNotInChain
 from .graph import (
     QBAG,
     Edge,
     _EMPTY,
-    _downstream,
     _extend_index,
     _extension,
     _Index,
     _index,
     _ordered,
     _Record,
+    _repr,
+    _require_argument,
     validate_strength,
 )
 from .semantics import DFQUAD, SemanticsDescriptor, StrengthAssignment, _propagate, evaluate
@@ -80,7 +81,7 @@ class StrengthMatrix(_Record):
             return tuple([row.values[x] for row in self.rows])
         except KeyError:
             i = next(i for i, row in enumerate(self.rows, start=1) if x not in row)
-            raise TopicNotInChain(f"argument {x!r} missing from step {i}") from None
+            raise TopicNotInChain(f"argument {_repr(x)} missing from step {i}") from None
 
 
 def build_chain(qbags: Iterable[QBAG]) -> Chain:
@@ -147,8 +148,7 @@ def sweep_chain(g: QBAG, x: str, values: Iterable[float]) -> Chain:
 
     Step i sets tau(x) to values[i]; everything else is untouched.
     """
-    if x not in g.args:
-        raise UnknownArgument(f"argument {x!r} not in graph")
+    _require_argument(g, x)
     values = list(values)
     if not values:
         raise EmptyChain("a sweep needs at least one strength value")
@@ -168,7 +168,8 @@ def _plans(steps: Iterable[QBAG]) -> Iterator[tuple[QBAG, QBAG, _Index, set[str]
     is then extended in place, and otherwise the empty graph ``_EMPTY``,
     from a fresh index.  The changed arguments are those whose in-edges
     changed: all of a rebuilt step's, none of a step that shares its
-    predecessor's structure.
+    predecessor's structure.  They seed the step's walk: ``_ordered`` of
+    them orders them and everything they reach.
     """
     prev = _EMPTY
     for g in steps:
@@ -189,9 +190,9 @@ def _validated(steps: Iterable[QBAG]) -> tuple[list[bool], list[bool]]:
     is decided pair by pair, so the chain is in it exactly when every pair
     is, and a chain of one step is in every class.  A class a pair is not
     in is not asked of the pairs after it.  A step can only close a cycle
-    through an argument whose in-edges it changed, so only their
-    downstream cone is checked.  The empty graph is acyclic, and a step
-    that extends a cyclic one keeps its cycle.
+    through an argument whose in-edges it changed, so one ``_ordered``
+    walk from those arguments checks it.  The empty graph is acyclic, and
+    a step that extends a cyclic one keeps its cycle.
     """
     classes = [is_expansion_chain, is_normal_expansion_chain, is_weak_expansion_chain]
     kinds = [True] * len(classes)
@@ -204,7 +205,7 @@ def _validated(steps: Iterable[QBAG]) -> tuple[list[bool], list[bool]]:
         acyclic = base is _EMPTY or verdicts[-1]
         if acyclic and changed:
             try:
-                _ordered(_downstream(index.successors, changed), index.successors)
+                _ordered(changed, index.successors)
             except CyclicGraph:
                 acyclic = False
         verdicts.append(acyclic)
@@ -219,10 +220,11 @@ def evaluate_chain(steps: Iterable[QBAG], sem: SemanticsDescriptor = DFQUAD) -> 
     offending step.  Each row is == to ``evaluate(step, sem)`` and, like
     it, keyed by ascending argument id.  Every step extends a step it
     contains (see :func:`_plans`): the previous step while every argument
-    and edge of it is still there, and the empty graph otherwise.  Only
-    the downstream cone of what changed is ordered and recomputed: new
-    arguments, arguments whose initial strength changed (0.0 and -0.0
-    count as different), and targets of new edges.  DF-QuAD is modular,
+    and edge of it is still there, and the empty graph otherwise.  One
+    ``_ordered`` walk orders what changed and everything it reaches, and
+    only those are recomputed.  What changed is the new arguments, the
+    arguments whose initial strength changed (0.0 and -0.0 count as
+    different), and the targets of new edges.  DF-QuAD is modular,
     so every other argument keeps its previous strength exactly.  A
     rebuilt step changes all of its arguments and is evaluated in full.
     CyclicGraph and StrengthOutOfRange are worded as ``evaluate`` words
@@ -234,7 +236,6 @@ def evaluate_chain(steps: Iterable[QBAG], sem: SemanticsDescriptor = DFQUAD) -> 
     rows: list[StrengthAssignment] = []
     sigma: dict[str, float] = {}
     for i, (g, base, index, changed) in enumerate(_plans(steps), start=1):
-        cone = _downstream(index.successors, changed | _retuned(base, g))
         # each row holds a copy, so sigma is carried from step to step;
         # new arguments need a merge that keeps the ascending key order
         if base is _EMPTY:
@@ -242,7 +243,7 @@ def evaluate_chain(steps: Iterable[QBAG], sem: SemanticsDescriptor = DFQUAD) -> 
         if len(sigma) != len(g.args):
             sigma = dict.fromkeys(sorted(g.args)) | sigma
         try:
-            _propagate(g, sem, index, _ordered(cone, index.successors), sigma)
+            _propagate(g, sem, index, _ordered(changed | _retuned(base, g), index.successors), sigma)
         except (CyclicGraph, StrengthOutOfRange) as exc:
             error = _worded(exc, g, sem, i)
             break
@@ -256,7 +257,7 @@ def evaluate_chain(steps: Iterable[QBAG], sem: SemanticsDescriptor = DFQUAD) -> 
 
 
 def _worded(exc: Exception, g: QBAG, sem: SemanticsDescriptor, i: int) -> Exception:
-    """The error of step i as evaluate words it; the cone's order is not a slice of the step's."""
+    """The error of step i as evaluate words it; the walk's order is not a slice of the step's."""
     try:
         evaluate(g, sem)
     except CyclicGraph as cycle:

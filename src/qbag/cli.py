@@ -239,17 +239,14 @@ def sweep(
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         _fail(f"sweep range [{start}, {stop}] outside [0, 1]")
     chain = sweep_chain(g, argument_id, _grid(start, stop, steps))
-    if as_csv:
-        # evaluated whole first, so an evaluation error leaves stdout empty
-        _emit(_strength_rows(evaluate_chain(chain, sem)))
-        return
-    step_texts = map("".join, _chain_parts(chain))
+    # the CSV is evaluated whole first, so an evaluation error writes nothing
+    texts = _strength_rows(evaluate_chain(chain, sem)) if as_csv else map("".join, _chain_parts(chain))
     if out_path is None:
-        _emit(step_texts)
+        _emit(texts)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as out:
-            out.writelines(step_texts)
+            out.writelines(texts)
     except OSError as exc:
         _fail(f"cannot write {_shown(out_path)}: {exc}")
     _echo(f"wrote {_shown(out_path)}")
@@ -324,7 +321,7 @@ _COMMANDS = {
                 "--steps", "steps", int, required=True,
                 help=f"Number of grid points, 1 to {MAX_SWEEP_STEPS}.",
             ),
-            _Option("--out", "out_path", help="Write the chain document here instead of stdout."),
+            _Option("--out", "out_path", help="Write the chain document, or the CSV, here instead of stdout."),
             _Option("--csv", "as_csv", bool, False, help="Evaluate the sweep and print the strength CSV."),
             _SEMANTICS,
         ),

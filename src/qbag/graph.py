@@ -145,12 +145,20 @@ class QBAG(_Record):
         )
 
 
+def _repr(value: object) -> str:
+    """repr(value) for an error message, or a short one where an int past the digit limit has none."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 def validate_strength(value: float, owner: str = "strength") -> float:
     """Coerce to float and check membership in the closed unit interval."""
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise StrengthOutOfRange(f"{owner}: {value!r} is not a number") from None
+        raise StrengthOutOfRange(f"{owner}: {_repr(value)} is not a number") from None
     except OverflowError:  # an int or a Fraction whose repr may be too long to make
         raise StrengthOutOfRange(f"{owner}: beyond the float range, outside [0, 1]") from None
     if not 0.0 <= value <= 1.0:
@@ -170,7 +178,7 @@ def _valid_ids(ids: Collection) -> bool:
 
 def validate_argument_id(arg: object) -> str:
     if not isinstance(arg, str) or not arg:
-        raise InvalidArgumentId(f"argument id must be a non-empty string, got {arg!r}")
+        raise InvalidArgumentId(f"argument id must be a non-empty string, got {_repr(arg)}")
     found = _FORBIDDEN_IN_ID.search(arg)
     if found:
         what = "a lone surrogate" if "\ud800" <= found[0] <= "\udfff" else "whitespace or a comma"
@@ -246,8 +254,8 @@ def _build_each(
         tau[arg] = validate_strength(strength, owner=f"initial strength of {arg!r}")
     declared = frozenset(tau)
 
-    att = frozenset((str(s), str(t)) for s, t in attacks)
-    supp = frozenset((str(s), str(t)) for s, t in supports)
+    att = frozenset(_id_pairs("attacks", attacks))
+    supp = frozenset(_id_pairs("supports", supports))
     for name, relation in (("attacks", att), ("supports", supp)):
         if not declared.issuperset(chain.from_iterable(relation)):
             for pair in sorted(relation):
@@ -261,6 +269,15 @@ def _build_each(
         raise RelationOverlap(f"pairs in both attacks and supports: {sorted(overlap)}")
 
     return QBAG(args=declared, tau=tau, att=att, supp=supp)
+
+
+def _id_pairs(name: str, pairs: Iterable[Edge]) -> Iterable[Edge]:
+    """Each pair with its endpoints made strings, as build_qbag takes them."""
+    for s, t in pairs:
+        try:
+            yield str(s), str(t)
+        except ValueError:  # an int past the digit limit has no str
+            raise InvalidArgumentId(f"{name} pair ({_repr(s)}, {_repr(t)}): an endpoint has no str") from None
 
 
 # the graph every step contains, so the one that any other step extends
@@ -340,7 +357,7 @@ def _extension(
 
 def _require_argument(g: QBAG, x: str) -> None:
     if x not in g.args:
-        raise UnknownArgument(f"argument {x!r} not in graph")
+        raise UnknownArgument(f"argument {_repr(x)} not in graph")
 
 
 def attackers(g: QBAG, x: str) -> set[str]:
@@ -409,7 +426,14 @@ def reaches(g: QBAG, x: str, y: str) -> bool:
     _require_argument(g, x)
     _require_argument(g, y)
     successors = _index(g).successors
-    return y in _downstream(successors, set(successors[x]))
+    stack = list(successors[x])
+    seen = set(stack)
+    while stack and y not in seen:
+        for z in successors[stack.pop()]:
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return y in seen
 
 
 def is_acyclic(g: QBAG) -> bool:
@@ -458,46 +482,31 @@ def topological_order(g: QBAG) -> list[str]:
     return _ordered(g.args, _index(g).successors)
 
 
-def _ordered(args: Collection[str], adj: dict[str, list[str]]) -> list[str]:
-    """The traversal behind :func:`topological_order`, over a prebuilt index.
+def _ordered(seeds: Collection[str], adj: dict[str, list[str]]) -> list[str]:
+    """A topological order of the seeds and every argument they reach, over a prebuilt index.
 
-    Every successor of an argument in args must be in args too, as in a
-    whole graph or a downstream cone of one.
+    The traversal behind :func:`topological_order`, started from the
+    seeds alone.  Raises CyclicGraph at the first cycle it meets.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = dict.fromkeys(args, WHITE)
+    on_path: dict[str, bool] = {}
     finished: list[str] = []
-    for root in sorted(args):
-        if state[root] != WHITE:
+    for root in sorted(seeds):
+        if root in on_path:
             continue
-        stack: list[tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
-        state[root] = GRAY
+        stack = [(root, iter(adj[root]))]
+        on_path[root] = True
         while stack:
             node, children = stack[-1]
             for child in children:
-                if state[child] == GRAY:
-                    raise CyclicGraph(f"cycle through argument {child!r}")
-                if state[child] == WHITE:
-                    state[child] = GRAY
+                if child not in on_path:
+                    on_path[child] = True
                     stack.append((child, iter(adj[child])))
                     break
+                if on_path[child]:
+                    raise CyclicGraph(f"cycle through argument {child!r}")
             else:  # every child is finished
-                state[node] = BLACK
+                on_path[node] = False
                 finished.append(node)
                 stack.pop()
     finished.reverse()
     return finished
-
-
-def _downstream(successors: dict[str, list[str]], seeds: set[str]) -> set[str]:
-    """The seeds plus every argument they reach."""
-    if len(seeds) == len(successors):  # every indexed argument already
-        return seeds
-    cone = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for y in successors[stack.pop()]:
-            if y not in cone:
-                cone.add(y)
-                stack.append(y)
-    return cone

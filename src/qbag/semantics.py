@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import StrengthOutOfRange, UnknownSemantics
-from .graph import QBAG, _Index, _index, _ordered, _Record
+from .graph import QBAG, _Index, _index, _ordered, _Record, _repr
 
 
 class SemanticsDescriptor(_Record):
@@ -89,7 +89,7 @@ def semantics_by_name(name: str) -> SemanticsDescriptor:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise UnknownSemantics(f"unknown semantics {name!r} (known: {known})") from None
+        raise UnknownSemantics(f"unknown semantics {_repr(name)} (known: {known})") from None
 
 
 def evaluate(g: QBAG, sem: SemanticsDescriptor = DFQUAD) -> StrengthAssignment:
@@ -129,7 +129,7 @@ def _propagate(
         value = influence(tau[x], aggregation(att_vals, supp_vals))
         if not 0.0 <= value <= 1.0:
             raise StrengthOutOfRange(
-                f"semantics {sem.name!r}: influence left [0, 1]: {value!r} for {x!r}"
+                f"semantics {sem.name!r}: influence left [0, 1]: {_repr(value)} for {x!r}"
             )
         sigma[x] = value
     return sigma

@@ -26,28 +26,34 @@ from qbag import (
     InvalidArgumentId,
     QbagError,
     RelationOverlap,
+    SemanticsDescriptor,
     SLFQuery,
     StrengthMatrix,
     StrengthOutOfRange,
+    TopicNotInChain,
     UnknownArgument,
+    UnknownSemantics,
     attackers,
     build_qbag,
+    dfquad_aggregation,
     evaluate,
     evaluate_chain,
     fairness_line,
     fairness_report,
+    fluctuation_count,
     is_acyclic,
     is_sub_qbag,
     reaches,
     parse_chain,
     restrict,
+    semantics_by_name,
     serialize_chain,
     supporters,
     sweep_chain,
     topological_order,
 )
 import qbag.graph
-from qbag.graph import _EMPTY, _build_each, _extend_index, _extend_qbag, _index, _Index
+from qbag.graph import _EMPTY, _build_each, _extend_index, _extend_qbag, _index, _Index, _ordered
 
 from .cases import dialogue, dialogue_step1, dialogue_step2, dialogue_step3, sweep_base
 from .oracles import oracle_index
@@ -284,6 +290,53 @@ class TestOverflowingStrength:
             SLFQuery(topics=frozenset({"a"}), threshold=value)
 
 
+BEYOND_REPR = [10**5000, Fraction(10**5000)]  # repr raises ValueError past 4300 digits
+_UNKNOWN = "argument {short} not in graph"
+
+
+def _step1_matrix():
+    return evaluate_chain([dialogue_step1()])
+
+
+class TestIdWithoutRepr:
+    """A value with no repr is named by a short description in the library's own error."""
+
+    @pytest.mark.parametrize("value", BEYOND_REPR, ids=["int", "Fraction"])
+    @pytest.mark.parametrize(
+        ("call", "error", "message"),
+        [
+            (lambda v: build_qbag([(v, 0.5)]), InvalidArgumentId,
+             "argument id must be a non-empty string, got {short}"),
+            (lambda v: build_qbag(iter([("a", 0.5)]), iter([("a", v)])), InvalidArgumentId,
+             "attacks pair ('a', {short}): an endpoint has no str"),
+            (lambda v: build_qbag([("a", 0.5)], supports=[(v, "a")]), InvalidArgumentId,
+             "supports pair ({short}, 'a'): an endpoint has no str"),
+            (lambda v: build_qbag([("a", [v])]), StrengthOutOfRange,
+             "initial strength of 'a': <list too long to show> is not a number"),
+            (lambda v: sweep_chain(dialogue_step1(), v, [0.5]), UnknownArgument, _UNKNOWN),
+            (lambda v: attackers(dialogue_step1(), v), UnknownArgument, _UNKNOWN),
+            (lambda v: supporters(dialogue_step1(), v), UnknownArgument, _UNKNOWN),
+            (lambda v: reaches(dialogue_step1(), "a", v), UnknownArgument, _UNKNOWN),
+            (lambda v: restrict(dialogue_step1(), ["a", v]), UnknownArgument, _UNKNOWN),
+            (lambda v: fluctuation_count(_step1_matrix(), v, 0.5), TopicNotInChain,
+             "argument {short} missing from step 1"),
+            (lambda v: fairness_report(_step1_matrix(), SLFQuery([v], 0.5)), TopicNotInChain,
+             "argument {short} missing from step 1"),
+            (semantics_by_name, UnknownSemantics, "unknown semantics {short} (known: dfquad)"),
+            (lambda v: evaluate(dialogue_step1(), SemanticsDescriptor("huge", dfquad_aggregation,
+                                                                      lambda base, agg: v)),
+             StrengthOutOfRange, "semantics 'huge': influence left [0, 1]: {short} for 'c'"),
+        ],
+        ids=["id", "attack-endpoint", "support-endpoint", "strength", "sweep_chain", "attackers",
+             "supporters", "reaches", "restrict", "fluctuation_count", "fairness_report",
+             "semantics_by_name", "influence"],
+    )
+    def test_the_error_is_the_library_one(self, call, error, message, value):
+        with pytest.raises(error) as info:
+            call(value)
+        assert str(info.value) == message.format(short=f"<{type(value).__name__} too long to show>")
+
+
 # what a step may break: ids, uniqueness, endpoints, disjointness; the
 # reader has checked that every strength is an int or float in [0, 1] and
 # that every pair is two strings
@@ -439,7 +492,7 @@ class TestReaches:
             reaches(dialogue_step1(), "a", "z")
 
     def test_an_argument_whose_successors_are_every_argument(self):
-        # a's successors are the whole graph, so the walk has nothing to add
+        # a's successors are the whole graph, a itself included
         g = build_qbag([("a", 0.5), ("b", 0.5)], attacks=[("a", "a")], supports=[("a", "b")])
         assert reaches(g, "a", "a") and reaches(g, "a", "b")
         assert not reaches(g, "b", "a") and not reaches(g, "b", "b")
@@ -633,6 +686,19 @@ class TestTopologicalOrder:
     @given(acyclic_qbags())
     def test_deterministic(self, g):
         assert topological_order(g) == topological_order(g)
+
+    @given(arbitrary_qbags().filter(is_acyclic), st.data())
+    def test_a_walk_orders_the_seeds_and_all_they_reach(self, g, data):
+        seeds = data.draw(st.sets(st.sampled_from(sorted(g.args))) if g.args else st.just(set()))
+        successors = _index(g).successors
+        order = _ordered(seeds, successors)
+        reached = seeds | {y for x in seeds for y in g.args if reaches(g, x, y)}
+        assert len(order) == len(reached) and set(order) == reached
+        position = {x: i for i, x in enumerate(order)}
+        for s, t in g.att | g.supp:
+            if s in position:
+                assert position[s] < position[t]
+        assert _ordered(g.args, successors) == topological_order(g)
 
 
 def _records():
